@@ -1,24 +1,30 @@
 """Finding and contracting nested subnets until a normal form is reached.
 
-The search has three detectors, tried in order over a deterministic node
-ordering:
+Three detectors look for a contractible selection at one focus node:
 
 * the loop test, which folds a place together with a pure self-loop
   transition;
 * the parallel test, which merges two nodes with identical wiring and
   identical interface membership;
-* `expand`, which grows a candidate subnet outward from an (input, output)
-  node pair, tracking which of the four basic classes the grown region
-  could still belong to and giving up when none survives.
+* the expand walk, which grows a candidate subnet from the focus towards
+  a same-type node it reaches (see `expand`), tracking which of the four
+  basic classes the grown region could still belong to and giving up when
+  none survives.
 
-Contracting whatever they find, over and over, terminates (every step
-removes at least one node) and is confluent up to isomorphism, so the
-result does not depend on the order policy.  A net is hierarchical in the
-AND-OR sense exactly when its normal form is a single node.
+`reduce_net` runs them from a worklist of focus nodes, with a capped
+expand walk.  `find_contractible` runs the same detectors uncapped over
+every node; it is the completeness pass, and reduction stops only when it
+finds nothing.  Contracting whatever they find, over and over, terminates
+(every step removes at least one node) and is confluent up to isomorphism,
+so the normal form does not depend on the order policy.  Its node ids and
+refinement tree do: the worklist's caps and its id-order tie-break between
+self-loops on one place decide what is contracted next, so they are part
+of the output bytes.  A net is hierarchical in the AND-OR sense exactly
+when its normal form is a single node.
 
-`reduce` records every contraction in a refinement tree whose leaves are
-the original nodes, mirroring how such a net could have been generated by
-substitutions.
+`reduce_net` records every contraction in a refinement tree whose leaves
+are the original nodes, mirroring how such a net could have been generated
+by substitutions.
 """
 
 from __future__ import annotations
@@ -26,18 +32,18 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classes import classify
 from .nets import FreshIds, Net, NodeId, descendants, is_acyclic, require_wf
 from .subnets import contract, is_well_nested, subnet_view
 
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
+Hit = tuple[frozenset[NodeId], frozenset[str]]
 
-# Caps for the opportunistic fast search inside reduce.  They only bound
-# how much work is spent per candidate before giving up; the exhaustive
-# scan that follows a dry fast search has no caps, so completeness never
-# depends on them.
+# Caps on the worklist's expand walk.  The completeness pass has none, so
+# whether a net reduces never depends on them, but what is contracted
+# first does.
 _CANDIDATE_CAP = 24
 _CANDIDATE_VISIT_CAP = 400
 _GROW_CAP = 300
@@ -70,19 +76,30 @@ class Internal:
 
     @property
     def first_leaf(self) -> NodeId:
-        return self.children[0].first_leaf
+        tree: RefinementTree = self
+        while isinstance(tree, Internal):
+            tree = tree.children[0]
+        return tree.node
 
     def leaf_ids(self) -> frozenset[NodeId]:
-        out: set[NodeId] = set()
-        for child in self.children:
-            out |= child.leaf_ids()
-        return frozenset(out)
+        return frozenset(leaf.node for leaf, _ in _walk(self))
 
     def depth(self) -> int:
-        return 1 + max(child.depth() for child in self.children)
+        return max(depth for _, depth in _walk(self))
 
 
 RefinementTree = Leaf | Internal
+
+
+def _walk(tree: RefinementTree) -> Iterator[tuple[Leaf, int]]:
+    """Every leaf of `tree` with its depth, without recursion."""
+    todo = [(tree, 1)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, Internal):
+            todo.extend((child, depth + 1) for child in node.children)
+        else:
+            yield node, depth
 
 
 def expand(net: Net, i: NodeId, o: NodeId) -> frozenset[NodeId] | None:
@@ -102,10 +119,12 @@ def expand(net: Net, i: NodeId, o: NodeId) -> frozenset[NodeId] | None:
         raise ValueError("nodes must share one type")
     if o not in descendants(net, i):
         raise ValueError(f"{o} is not reachable from {i}")
-    return _grow(net, i, o)
+    hit = _grow(net, i, o)
+    return None if hit is None else hit[0]
 
 
-def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> frozenset[NodeId] | None:
+def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
+    """The grown selection with its basic classes, or None."""
     possible = {"11pOR", "pAND"} if net.is_place(i) else {"11tAND", "tOR"}
     selection = {i, o}
     ins = {i}
@@ -165,11 +184,10 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> frozenset[N
     # analysed, so confirm the selection really is contractible.
     if not view.is_wf:
         return None
-    if not classify(view.net).basic_classes:
+    classes = classify(view.net).basic_classes
+    if not classes or not is_well_nested(net, selection):
         return None
-    if not is_well_nested(net, selection):
-        return None
-    return frozenset(selection)
+    return frozenset(selection), classes
 
 
 def node_order(net: Net, seed: int | None = None) -> list[NodeId]:
@@ -180,70 +198,103 @@ def node_order(net: Net, seed: int | None = None) -> list[NodeId]:
     return order
 
 
-def find_contractible(
-    net: Net, order: Sequence[NodeId] | None = None
-) -> tuple[frozenset[NodeId], frozenset[str]] | None:
+def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | None:
     """First contractible non-trivial selection under the given node order.
 
-    Runs the loop test over all diagonal pairs, then the parallel test over
-    all same-type pairs, then `expand` over reachable same-type pairs, and
-    returns the selection together with the basic classes of its view.
+    Runs the loop test at every place, then the parallel test at every
+    node, then the uncapped expand walk from every node, each phase in
+    `order` (every node once), and returns the selection together with the
+    basic classes of its view.  It finds a contraction whenever one exists.
     """
     ordering = list(order) if order is not None else node_order(net)
-
-    for p in ordering:
-        if not net.is_place(p):
-            continue
-        hit = _loop_at(net, p, ordering)
+    rank = {n: k for k, n in enumerate(ordering)}
+    places = [n for n in ordering if net.is_place(n)]
+    for detect, foci in ((_loop, places), (_parallel, ordering)):
+        for focus in foci:
+            selection = detect(net, focus, rank)
+            if selection is not None:
+                return _with_classes(net, selection)
+    for focus in ordering:
+        hit = _expand(net, focus, rank, capped=False)
         if hit is not None:
-            return _with_classes(net, hit)
-
-    sig = {
-        n: (
-            net.is_place(n),
-            net.preset(n),
-            net.postset(n),
-            n in net.inputs,
-            n in net.outputs,
-        )
-        for n in ordering
-    }
-    for a in range(len(ordering)):
-        for b in range(a + 1, len(ordering)):
-            n1, n2 = ordering[a], ordering[b]
-            if sig[n1] == sig[n2]:
-                return _with_classes(net, frozenset({n1, n2}))
-
-    for n1 in ordering:
-        reach = descendants(net, n1)
-        n1_place = net.is_place(n1)
-        for n2 in ordering:
-            if n2 == n1 or net.is_place(n2) != n1_place or n2 not in reach:
-                continue
-            grown = _grow(net, n1, n2)
-            if grown is not None:
-                return _with_classes(net, grown)
+            return hit
     return None
 
 
-def _loop_at(net: Net, p: NodeId, ordering: Sequence[NodeId]) -> frozenset[NodeId] | None:
-    """S = {p, t} for the first pure self-loop transition t on place p."""
-    loops = [
-        t
-        for t in net.postset(p)
-        if net.preset(t) == {p}
-        and net.postset(t) == {p}
-        and t not in net.inputs
-        and t not in net.outputs
-    ]
-    if not loops:
-        return None
-    rank = {n: k for k, n in enumerate(ordering)}
-    t = min(loops, key=lambda n: (rank.get(n, len(rank)), n))
-    return frozenset({p, t})
+# The three detectors, shared by `find_contractible` and the worklist.  Each
+# looks at one focus node; `rank` orders the candidates, and nodes it does
+# not list come after those it does, by id.
 
 
-def _with_classes(net: Net, selection: frozenset[NodeId]) -> tuple[frozenset[NodeId], frozenset[str]]:
+def _rank_key(rank: dict[NodeId, int]) -> Callable[[NodeId], tuple[int, NodeId]]:
+    return lambda n: (rank.get(n, len(rank)), n)
+
+
+def _is_self_loop(net: Net, t: NodeId) -> bool:
+    pre = net.preset(t)
+    return len(pre) == 1 and pre == net.postset(t) and t not in net.inputs and t not in net.outputs
+
+
+def _loop(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[NodeId] | None:
+    """{p, t} for a place p and a pure self-loop transition t, either one the focus.
+
+    Of several self-loops on a place, the first by rank is taken.
+    """
+    if not net.is_place(focus):
+        return net.preset(focus) | {focus} if _is_self_loop(net, focus) else None
+    loops = [t for t in net.postset(focus) if _is_self_loop(net, t)]
+    loop = min(loops, key=_rank_key(rank), default=None)
+    return None if loop is None else frozenset({focus, loop})
+
+
+def _parallel(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[NodeId] | None:
+    """{focus, n} for the first n by rank with focus's type, wiring and interface membership."""
+
+    def wiring(n: NodeId) -> tuple:
+        return net.is_place(n), net.preset(n), net.postset(n), n in net.inputs, n in net.outputs
+
+    mine = wiring(focus)
+    pre = net.preset(focus)
+    # A twin shares the preset, so it follows any one of its producers.
+    pool = net.postset(min(pre)) if pre else (net.places if net.is_place(focus) else net.transitions)
+    twins = [n for n in pool if n != focus and wiring(n) == mine]
+    twin = min(twins, key=_rank_key(rank), default=None)
+    return None if twin is None else frozenset({focus, twin})
+
+
+def _expand(net: Net, focus: NodeId, rank: dict[NodeId, int], capped: bool) -> Hit | None:
+    """First selection grown from focus to a same-type node reachable from it.
+
+    Uncapped, every such node is tried in rank order.  Capped, only the
+    first `_CANDIDATE_CAP` are tried, nearest first and by rank within one
+    distance, among the first `_CANDIDATE_VISIT_CAP` nodes reached; and a
+    selection that outgrows `_GROW_CAP` nodes is given up.
+    """
+    same_type = net.is_place(focus)
+    key = _rank_key(rank)
+    if capped:
+        candidates: list[NodeId] = []
+        seen = {focus}
+        layer = [focus]
+        while layer and len(candidates) < _CANDIDATE_CAP and len(seen) < _CANDIDATE_VISIT_CAP:
+            reached: set[NodeId] = set()
+            for n in layer:
+                reached |= net.postset(n) - seen
+            layer = sorted(reached, key=key)
+            seen |= reached
+            candidates += [n for n in layer if net.is_place(n) == same_type]
+        del candidates[_CANDIDATE_CAP:]
+    else:
+        reach = descendants(net, focus) - {focus}
+        candidates = sorted((n for n in reach if net.is_place(n) == same_type), key=key)
+    for o in candidates:
+        hit = _grow(net, focus, o, _GROW_CAP if capped else None)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _with_classes(net: Net, selection: frozenset[NodeId]) -> Hit:
     return selection, classify(subnet_view(net, selection).net).basic_classes
 
 
@@ -290,11 +341,12 @@ def is_andor(net: Net, seed: int | None = None) -> bool:
 class _Reducer:
     """Worklist-driven reduction.
 
-    A queue of focus nodes drives cheap local checks (loop, parallel, capped
-    expand from the focus).  Whenever the queue runs dry, one uncapped
-    exhaustive scan decides whether a normal form is reached; if it still
-    finds a contraction the fast search restarts from scratch, so the caps
-    never affect the final result, only how quickly it is found.
+    Each focus node taken from the queue, in rank order, goes through the
+    shared detectors: the loop test with ties broken by id, the parallel
+    test, and the capped expand walk.  When the queue runs dry,
+    `find_contractible` is the completeness pass; if it still finds a
+    contraction, every node is queued again.  The caps and the id tie-break
+    fix which selection is contracted next, and so the output bytes.
     """
 
     def __init__(self, net: Net, seed: int | None):
@@ -332,7 +384,7 @@ class _Reducer:
                 self.queue.append(n)
                 self.queued.add(n)
 
-    def _fast_search(self) -> tuple[frozenset[NodeId], frozenset[str]] | None:
+    def _fast_search(self) -> Hit | None:
         net = self.net
         while self.queue:
             focus = self.queue.popleft()
@@ -344,79 +396,15 @@ class _Reducer:
                 return hit
         return None
 
-    def _try_focus(self, focus: NodeId) -> tuple[frozenset[NodeId], frozenset[str]] | None:
+    def _try_focus(self, focus: NodeId) -> Hit | None:
         net = self.net
+        # An empty rank breaks loop ties by id, not by rank.
+        selection = _loop(net, focus, {}) or _parallel(net, focus, self.rank)
+        if selection is not None:
+            return _with_classes(net, selection)
+        return _expand(net, focus, self.rank, capped=True)
 
-        if net.is_place(focus):
-            loop = _loop_at(net, focus, ())
-            if loop is not None:
-                return _with_classes(net, loop)
-        else:
-            pre = net.preset(focus)
-            if (
-                len(pre) == 1
-                and pre == net.postset(focus)
-                and focus not in net.inputs
-                and focus not in net.outputs
-            ):
-                return _with_classes(net, frozenset(pre | {focus}))
-
-        twin = self._parallel_partner(focus)
-        if twin is not None:
-            return _with_classes(net, frozenset({focus, twin}))
-
-        for o in self._expand_candidates(focus):
-            grown = _grow(net, focus, o, cap=_GROW_CAP)
-            if grown is not None:
-                return _with_classes(net, grown)
-        return None
-
-    def _parallel_partner(self, focus: NodeId) -> NodeId | None:
-        net = self.net
-        pre = net.preset(focus)
-        post = net.postset(focus)
-        pool = net.postset(min(pre)) if pre else (net.places if net.is_place(focus) else net.transitions)
-        best: NodeId | None = None
-        for n in pool:
-            if (
-                n != focus
-                and net.is_place(n) == net.is_place(focus)
-                and net.preset(n) == pre
-                and net.postset(n) == post
-                and (n in net.inputs) == (focus in net.inputs)
-                and (n in net.outputs) == (focus in net.outputs)
-            ):
-                key = (self.rank.get(n, len(self.rank)), n)
-                if best is None or key < (self.rank.get(best, len(self.rank)), best):
-                    best = n
-        return best
-
-    def _expand_candidates(self, focus: NodeId) -> list[NodeId]:
-        """Same-type nodes reachable from focus, nearest first, capped."""
-        net = self.net
-        rank = self.rank
-        want_place = net.is_place(focus)
-        found: list[NodeId] = []
-        seen = {focus}
-        layer = [focus]
-        visited = 1
-        while layer and len(found) < _CANDIDATE_CAP and visited < _CANDIDATE_VISIT_CAP:
-            nxt: set[NodeId] = set()
-            for n in layer:
-                nxt |= net.postset(n) - seen
-            layer = sorted(nxt, key=lambda n: rank.get(n, len(rank)))
-            seen |= nxt
-            visited += len(nxt)
-            for n in layer:
-                if net.is_place(n) == want_place and len(found) < _CANDIDATE_CAP:
-                    found.append(n)
-        return found
-
-    def _apply(
-        self,
-        hit: tuple[frozenset[NodeId], frozenset[str]],
-        observer: Observer | None,
-    ) -> None:
+    def _apply(self, hit: Hit, observer: Observer | None) -> None:
         selection, classes = hit
         fresh = self.fresh_ids.take()
         before = self.net

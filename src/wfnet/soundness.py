@@ -193,39 +193,7 @@ def check_k_sound(
     Transition-interface nets are checked on their place completion, which
     the returned verdict exposes as `checked_net` so witnesses replay.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    target_net = _checked_form(net)
-    start = input_marking(target_net, k)
-    goal = output_marking(target_net, k)
-
-    graph = explore_reachable(target_net, start, max_states, max_tokens)
-    if not graph.complete:
-        return SoundnessVerdict(
-            status="inconclusive",
-            k=k,
-            states_explored=graph.states,
-            checked_net=target_net,
-            bound_hit=graph.bound_hit,
-        )
-
-    finishing = graph.can_reach(goal)
-    # Breadth-first insertion order makes the first failure a shortest one.
-    for m in graph.edges:
-        if m not in finishing:
-            return SoundnessVerdict(
-                status="unsound",
-                k=k,
-                states_explored=graph.states,
-                checked_net=target_net,
-                witness=Witness(firings=graph.path_to(m), stuck=m),
-            )
-    return SoundnessVerdict(
-        status="sound",
-        k=k,
-        states_explored=graph.states,
-        checked_net=target_net,
-    )
+    return _check(net, k, 0, max_states, max_tokens)
 
 
 def check_star_sound_bounded(
@@ -264,72 +232,51 @@ def check_substitution_sound_bounded(
     able to finish in (k-k').O.  Checked by fresh bounded explorations from
     each remainder, memoized per start marking.
     """
+    return _check(net, k, k, max_states, max_tokens)
+
+
+def _check(net: Net, k: int, max_removed: int, max_states: int, max_tokens: int) -> SoundnessVerdict:
+    """Can every x reachable from k.I, less k' <= max_removed output bags, finish in (k-k').O?
+
+    k'=0 is answered by one backward sweep over the reachability graph, the
+    other k' by fresh bounded explorations from each remainder, memoized
+    per start marking.  Breadth-first insertion order makes the first
+    failure a shortest one.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     target_net = _checked_form(net)
-    start = input_marking(target_net, k)
-    out_bag = output_marking(target_net, 1)
-
-    graph = explore_reachable(target_net, start, max_states, max_tokens)
+    graph = explore_reachable(target_net, input_marking(target_net, k), max_states, max_tokens)
     explored = graph.states
-    if not graph.complete:
+
+    def verdict(status: Status, **details) -> SoundnessVerdict:
         return SoundnessVerdict(
-            status="inconclusive",
-            k=k,
-            states_explored=explored,
-            checked_net=target_net,
-            bound_hit=graph.bound_hit,
+            status=status, k=k, states_explored=explored, checked_net=target_net, **details
         )
 
-    # The k'=0 instance is plain k-soundness; answer it with one backward
-    # sweep instead of a fresh exploration per marking.
+    if not graph.complete:
+        return verdict("inconclusive", bound_hit=graph.bound_hit)
     finishing = graph.can_reach(output_marking(target_net, k))
-    sub_states: dict[Marking, tuple[frozenset[Marking] | None, str | None]] = {}
-
-    def states_from(origin: Marking) -> tuple[frozenset[Marking] | None, str | None]:
-        """Complete reachable set from origin, or (None, bound) if capped."""
-        nonlocal explored
-        if origin not in sub_states:
-            sub = explore_reachable(target_net, origin, max_states, max_tokens)
-            explored += sub.states
-            if sub.complete:
-                sub_states[origin] = (frozenset(sub.edges), None)
-            else:
-                sub_states[origin] = (None, sub.bound_hit)
-        return sub_states[origin]
-
+    out_bag = output_marking(target_net, 1)
+    remainder_states: dict[Marking, frozenset[Marking]] = {}
     for x in graph.edges:
-        for k_removed in range(0, k + 1):
-            if not (out_bag * k_removed) <= x:
-                continue
+        for k_removed in range(max_removed + 1):
             if k_removed == 0:
+                stuck = x
                 ok = x in finishing
             else:
-                states, capped = states_from(x - out_bag * k_removed)
-                if states is None:
-                    return SoundnessVerdict(
-                        status="inconclusive",
-                        k=k,
-                        states_explored=explored,
-                        checked_net=target_net,
-                        bound_hit=capped,
-                    )
-                ok = output_marking(target_net, k - k_removed) in states
+                removed = out_bag * k_removed
+                if not removed <= x:
+                    break
+                stuck = x - removed
+                if stuck not in remainder_states:
+                    sub = explore_reachable(target_net, stuck, max_states, max_tokens)
+                    explored += sub.states
+                    if not sub.complete:
+                        return verdict("inconclusive", bound_hit=sub.bound_hit)
+                    remainder_states[stuck] = frozenset(sub.edges)
+                ok = output_marking(target_net, k - k_removed) in remainder_states[stuck]
             if not ok:
-                return SoundnessVerdict(
-                    status="unsound",
-                    k=k,
-                    states_explored=explored,
-                    checked_net=target_net,
-                    witness=Witness(
-                        firings=graph.path_to(x),
-                        stuck=x - out_bag * k_removed,
-                        removed_outputs=k_removed,
-                    ),
-                )
-    return SoundnessVerdict(
-        status="sound",
-        k=k,
-        states_explored=explored,
-        checked_net=target_net,
-    )
+                witness = Witness(firings=graph.path_to(x), stuck=stuck, removed_outputs=k_removed)
+                return verdict("unsound", witness=witness)
+    return verdict("sound")

@@ -43,7 +43,10 @@ class SubnetView:
 
 
 def subnet_view(host: Net, selection: Iterable[NodeId]) -> SubnetView:
-    """Restrict `host` to `selection` with the induced interface."""
+    """Restrict `host` to `selection` with the induced interface.
+
+    Reads only the members' presets and postsets, not every host arc.
+    """
     members = frozenset(selection)
     if not members:
         raise ValueError("empty selection")
@@ -51,21 +54,12 @@ def subnet_view(host: Net, selection: Iterable[NodeId]) -> SubnetView:
     if foreign:
         raise KeyError(", ".join(sorted(foreign)))
 
-    arcs = frozenset((a, b) for a, b in host.arcs if a in members and b in members)
-    inputs = set(host.inputs & members)
-    outputs = set(host.outputs & members)
-    for a, b in host.arcs:
-        if a not in members and b in members:
-            inputs.add(b)
-        if a in members and b not in members:
-            outputs.add(a)
-
     restricted = Net(
         places=host.places & members,
         transitions=host.transitions & members,
-        arcs=arcs,
-        inputs=frozenset(inputs),
-        outputs=frozenset(outputs),
+        arcs=frozenset((a, b) for a in members for b in host.postset(a) & members),
+        inputs=(host.inputs & members) | {n for n in members if host.preset(n) - members},
+        outputs=(host.outputs & members) | {n for n in members if host.postset(n) - members},
     )
     return SubnetView(host=host, members=members, net=restricted)
 

@@ -289,3 +289,15 @@ class TestOrderIndependence:
         direct = contract(net, s1, "n1")
         staged = contract(contract(net, s2, "n2"), {"p1", "n2", "p3"}, "n1")
         assert direct == staged
+
+
+class TestDeepTrees:
+    def test_walks_survive_5000_levels(self):
+        # Each level adds one leaf beside the tree below it.
+        tree = Leaf("n0")
+        for level in range(1, 5000):
+            tree = Internal(node=f"x{level}", classes=frozenset({"pAND"}),
+                            children=(tree, Leaf(f"n{level}")))
+        assert tree.first_leaf == "n0"
+        assert tree.leaf_ids() == {f"n{i}" for i in range(5000)}
+        assert tree.depth() == 5000
