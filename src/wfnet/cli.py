@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes are uniform across subcommands: 0 for success or an affirmative
-verdict, 1 for usage, parse, or validation problems, 2 for a negative
+verdict, 1 for usage, parse, or validation problems and for files that
+cannot be written or trees too deep to encode, 2 for a negative
 verdict (not AND-OR, unsound), 3 when a check hit its exploration bounds
 before reaching a verdict.  When several files disagree the worst code
 wins, in the order 1, then 2, then 3, then 0.
@@ -304,8 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
-        # Covers parse failures, invalid nets, and out-of-range options.
+    except (ValueError, OSError, RecursionError) as exc:
+        # Covers parse failures, invalid nets, out-of-range options, files
+        # that cannot be written, and trees nested too deeply to encode.
         print(f"wfnet: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

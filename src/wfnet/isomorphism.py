@@ -3,7 +3,9 @@
 Nodes are partitioned by a local signature (kind, degrees, interface
 membership); only same-signature nodes can correspond, which prunes the
 search enough for the net sizes this library produces.  Candidate order is
-fixed by sorting, so the returned mapping is deterministic.
+fixed by sorting, so the returned mapping is deterministic.  The search
+keeps its own stack, so deep nets do not hit the recursion limit, and
+checks a candidate only against the already-mapped neighbours.
 """
 
 from __future__ import annotations
@@ -57,32 +59,40 @@ def find_isomorphism(a: Net, b: Net) -> dict[NodeId, NodeId] | None:
 
     mapping: dict[NodeId, NodeId] = {}
     used: set[NodeId] = set()
-    arcs_b = b.arcs
 
     def consistent(n: NodeId, image: NodeId) -> bool:
-        for m, m_img in mapping.items():
-            if ((n, m) in a.arcs) != ((image, m_img) in arcs_b):
+        # Arcs between n and mapped nodes must map onto exactly the arcs
+        # between image and used nodes: every mapped neighbour lands on a
+        # neighbour, and the counts agree, since the mapping is injective.
+        for near_a, near_b in ((a.preset(n), b.preset(image)), (a.postset(n), b.postset(image))):
+            mapped = [mapping[m] for m in near_a if m in mapping]
+            if any(m_img not in near_b for m_img in mapped):
                 return False
-            if ((m, n) in a.arcs) != ((m_img, image) in arcs_b):
+            if len(mapped) != sum(1 for m_img in near_b if m_img in used):
                 return False
         return True
 
-    def assign(index: int) -> bool:
-        if index == len(order):
-            return True
-        n = order[index]
-        for image in candidates[n]:
-            if image in used or not consistent(n, image):
-                continue
-            mapping[n] = image
-            used.add(image)
-            if assign(index + 1):
-                return True
-            del mapping[n]
-            used.remove(image)
-        return False
-
-    if not assign(0):
+    # Depth-first search over `order` without recursion: tried[d] counts
+    # the candidates already tried for order[d].
+    tried = [0] * len(order)
+    depth = 0
+    while 0 <= depth < len(order):
+        n = order[depth]
+        if n in mapping:
+            used.remove(mapping.pop(n))
+        options = candidates[n]
+        k = tried[depth]
+        while k < len(options) and (options[k] in used or not consistent(n, options[k])):
+            k += 1
+        if k == len(options):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = k + 1
+        mapping[n] = options[k]
+        used.add(options[k])
+        depth += 1
+    if depth < 0:
         return None
     return {n: mapping[n] for n in sorted(mapping)}
 

@@ -121,6 +121,21 @@ class Net:
         return dataclasses.replace(self, **changes)
 
 
+def _with_adjacency(
+    net: Net,
+    pred: dict[NodeId, frozenset[NodeId]],
+    succ: dict[NodeId, frozenset[NodeId]],
+) -> Net:
+    """`net` with its preset and postset maps filled in, not derived from its arcs.
+
+    The caller vouches that `pred` and `succ` are exactly what `_pred` and
+    `_succ` would compute from `net.arcs`; the maps are adopted, not copied.
+    """
+    net.__dict__["_pred"] = pred
+    net.__dict__["_succ"] = succ
+    return net
+
+
 def reachable(net: Net, origin: NodeId, target: NodeId) -> bool:
     """True when a directed path leads from origin to target.
 

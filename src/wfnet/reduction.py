@@ -423,4 +423,4 @@ class _Reducer:
         second = set()
         for n in boundary:
             second |= after.preset(n) | after.postset(n)
-        self._enqueue({fresh} | boundary | (second & after.nodes))
+        self._enqueue({fresh} | boundary | second)

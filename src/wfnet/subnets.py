@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nets import Net, NodeId, descendants_closure
+from .nets import Net, NodeId, _with_adjacency, descendants_closure
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,36 @@ class SubnetView:
         return len(self.members) == 1
 
 
+def _members(host: Net, selection: Iterable[NodeId]) -> frozenset[NodeId]:
+    members = frozenset(selection)
+    if not members:
+        raise ValueError("empty selection")
+    foreign = sorted(n for n in members if n not in host)
+    if foreign:
+        raise KeyError(", ".join(foreign))
+    return members
+
+
+def _interface(host: Net, members: frozenset[NodeId]) -> tuple[frozenset[NodeId], frozenset[NodeId]]:
+    """The induced inputs and outputs of a selection, read from the members' presets and postsets."""
+    inputs = frozenset(n for n in members if n in host.inputs or not host.preset(n) <= members)
+    outputs = frozenset(n for n in members if n in host.outputs or not host.postset(n) <= members)
+    return inputs, outputs
+
+
 def subnet_view(host: Net, selection: Iterable[NodeId]) -> SubnetView:
     """Restrict `host` to `selection` with the induced interface.
 
     Reads only the members' presets and postsets, not every host arc.
     """
-    members = frozenset(selection)
-    if not members:
-        raise ValueError("empty selection")
-    foreign = members - host.nodes
-    if foreign:
-        raise KeyError(", ".join(sorted(foreign)))
-
+    members = _members(host, selection)
+    inputs, outputs = _interface(host, members)
     restricted = Net(
         places=host.places & members,
         transitions=host.transitions & members,
         arcs=frozenset((a, b) for a in members for b in host.postset(a) & members),
-        inputs=(host.inputs & members) | {n for n in members if host.preset(n) - members},
-        outputs=(host.outputs & members) | {n for n in members if host.postset(n) - members},
+        inputs=inputs,
+        outputs=outputs,
     )
     return SubnetView(host=host, members=members, net=restricted)
 
@@ -71,8 +83,8 @@ def is_well_nested(host: Net, selection: Iterable[NodeId]) -> bool:
     selection and the same host-input membership; dually for outputs.  This
     is what makes the contracted node's wiring unambiguous.
     """
-    view = subnet_view(host, selection)
-    members = view.members
+    members = _members(host, selection)
+    inputs, outputs = _interface(host, members)
 
     def outside_pre(n: NodeId) -> frozenset[NodeId]:
         return host.preset(n) - members
@@ -80,13 +92,13 @@ def is_well_nested(host: Net, selection: Iterable[NodeId]) -> bool:
     def outside_post(n: NodeId) -> frozenset[NodeId]:
         return host.postset(n) - members
 
-    ins = sorted(view.net.inputs)
+    ins = sorted(inputs)
     for n in ins[1:]:
         if outside_pre(n) != outside_pre(ins[0]):
             return False
         if (n in host.inputs) != (ins[0] in host.inputs):
             return False
-    outs = sorted(view.net.outputs)
+    outs = sorted(outputs)
     for n in outs[1:]:
         if outside_post(n) != outside_post(outs[0]):
             return False
@@ -101,23 +113,46 @@ def contract(host: Net, selection: Iterable[NodeId], fresh: NodeId) -> Net:
     The fresh node takes the view's interface type, inherits every arc that
     crossed the selection boundary, and joins the host interface exactly
     when the selection touched it.
-    """
-    view = subnet_view(host, selection)
-    members = view.members
-    if fresh in host.nodes:
-        raise ValueError(f"fresh id {fresh} already in use")
-    io_type = view.net.io_type  # raises ValueError when the view is not WF
 
-    arcs = set()
-    for a, b in host.arcs:
-        a_in = a in members
-        b_in = b in members
-        if not a_in and not b_in:
-            arcs.add((a, b))
-        elif not a_in and b_in:
-            arcs.add((a, fresh))
-        elif a_in and not b_in:
-            arcs.add((fresh, b))
+    The result's arcs and adjacency maps are the host's, patched where the
+    members were and at the nodes just outside them; no host arc outside
+    the members' presets and postsets is looked at, and the result never
+    rebuilds its adjacency from its arcs.
+    """
+    members = _members(host, selection)
+    # Every node, and every end of an arc, has an entry in the maps.
+    if fresh in host._pred:
+        raise ValueError(f"fresh id {fresh} already in use")
+    view_inputs, view_outputs = _interface(host, members)
+    kinds = {host.is_place(n) for n in view_inputs | view_outputs}
+    if len(kinds) != 1:
+        raise ValueError("interface is not all places or all transitions")
+    (is_place,) = kinds
+
+    touched: set[tuple[NodeId, NodeId]] = set()
+    feeders: set[NodeId] = set()
+    fed: set[NodeId] = set()
+    for n in members:
+        pre = host.preset(n)
+        post = host.postset(n)
+        touched.update((a, n) for a in pre)
+        touched.update((n, b) for b in post)
+        feeders |= pre
+        fed |= post
+    feeders -= members
+    fed -= members
+
+    pred = dict(host._pred)
+    succ = dict(host._succ)
+    for n in members:
+        del pred[n], succ[n]
+    for a in feeders:
+        succ[a] = (succ[a] - members) | {fresh}
+    for b in fed:
+        pred[b] = (pred[b] - members) | {fresh}
+    pred[fresh] = frozenset(feeders)
+    succ[fresh] = frozenset(fed)
+    arcs = (host.arcs - touched) | {(a, fresh) for a in feeders} | {(fresh, b) for b in fed}
 
     inputs = host.inputs
     if inputs & members:
@@ -128,19 +163,20 @@ def contract(host: Net, selection: Iterable[NodeId], fresh: NodeId) -> Net:
 
     places = host.places - members
     transitions = host.transitions - members
-    if io_type == "place":
+    if is_place:
         places |= {fresh}
     else:
         transitions |= {fresh}
 
-    return Net(
-        places=frozenset(places),
-        transitions=frozenset(transitions),
-        arcs=frozenset(arcs),
+    result = Net(
+        places=places,
+        transitions=transitions,
+        arcs=arcs,
         inputs=inputs,
         outputs=outputs,
         name=host.name,
     )
+    return _with_adjacency(result, pred, succ)
 
 
 def path_quotient_check(before: Net, after: Net, selection: Iterable[NodeId], fresh: NodeId) -> bool:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import DATA_DIR
-from wfnet import parse_forest, parse_net, validate
+from wfnet import Net, parse_forest, parse_net, serialize_net, validate
 from wfnet.cli import main
 
 PAND = str(DATA_DIR / "pand.net")
@@ -317,3 +317,40 @@ class TestPnmlInput:
         code, out, err = run(capsys, "reduce", str(path))
         assert code == 0
         assert len(parse_net(out).net) == 1
+
+
+def nesting(levels: int) -> Net:
+    """Choice and parallel blocks nested `levels` deep; the tree is `levels` + 2 deep."""
+    ids = iter(range(3 * levels + 3))
+    src, dst = f"p{next(ids)}", f"p{next(ids)}"
+    places, transitions, arcs = [src, dst], [], []
+    inputs, outputs = [src], [dst]
+    for level in range(levels + 1):
+        kind, pool = ("t", transitions) if level % 2 == 0 else ("p", places)
+        plain = f"{kind}{next(ids)}"
+        pool.append(plain)
+        arcs += [(src, plain), (plain, dst)]
+        if level < levels:
+            enter, leave = f"{kind}{next(ids)}", f"{kind}{next(ids)}"
+            pool += [enter, leave]
+            arcs += [(src, enter), (leave, dst)]
+            src, dst = enter, leave
+    return Net.of(places=places, transitions=transitions, arcs=arcs, inputs=inputs, outputs=outputs)
+
+
+class TestErrors:
+    def test_tree_too_deep_to_encode(self, capsys, tmp_path):
+        path = tmp_path / "deep.net"
+        path.write_text(serialize_net(nesting(600)), encoding="utf-8")
+        tree = tmp_path / "tree.json"
+        code, out, err = run(capsys, "reduce", str(path), "--tree", str(tree))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wfnet: error: ") and "recursion" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.net"
+        code, out, err = run(capsys, "reduce", PAND, "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wfnet: error: ") and str(target) in err

@@ -104,3 +104,13 @@ class TestProperties:
             GenerationRecipe(seed=seed, substitution_steps=3, max_basic_net_nodes=5)
         ).net
         assert isomorphic(net, net)
+
+
+class TestLargeNets:
+    def test_three_thousand_nodes_without_recursion(self):
+        # Deep enough that one stack frame per node would pass the recursion limit.
+        net = generate_andor_net(GenerationRecipe(seed=9, substitution_steps=740)).net
+        assert len(net) >= 3000
+        assert find_isomorphism(net, net) == {n: n for n in net.nodes}
+        renaming = {n: f"x_{n}" for n in net.nodes}
+        assert find_isomorphism(net, relabel(net, renaming)) == renaming

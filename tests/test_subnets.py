@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import NETS, load_fixture
 from wfnet import (
+    GenerationRecipe,
     Net,
     contract,
+    generate_andor_net,
     is_well_nested,
     path_quotient_check,
+    reduce_net,
     subnet_view,
     substitute,
     validate,
@@ -162,3 +166,40 @@ class TestPathQuotient:
             inputs=["a1", "n"], outputs=["n", "b2"],
         )
         assert not path_quotient_check(before, forged, frozenset({"a2", "b1"}), "n")
+
+
+def _adjacency_case(name: str) -> Net:
+    if name in NETS:
+        return load_fixture(name)
+    seed = int(name.removeprefix("generated"))
+    return generate_andor_net(GenerationRecipe(seed=seed, substitution_steps=40)).net
+
+
+class TestPatchedAdjacency:
+    """`contract` patches the host's adjacency instead of deriving it from arcs."""
+
+    @pytest.mark.parametrize("order_seed", [None, 1])
+    @pytest.mark.parametrize("name", sorted(NETS) + ["generated4", "generated9"])
+    def test_matches_adjacency_rebuilt_from_arcs(self, name, order_seed):
+        contractions = []
+
+        def check(before, selection, fresh, after):
+            contractions.append(fresh)
+            rebuilt = Net(
+                places=after.places, transitions=after.transitions, arcs=after.arcs,
+                inputs=after.inputs, outputs=after.outputs,
+            )
+            for n in rebuilt.nodes:
+                assert after.preset(n) == rebuilt.preset(n), (fresh, n)
+                assert after.postset(n) == rebuilt.postset(n), (fresh, n)
+            assert not any(m in after for m in selection)
+            assert not any(a in selection or b in selection for a, b in after.arcs)
+            assert not any(
+                selection & (after.preset(n) | after.postset(n)) for n in after.nodes
+            )
+            # Stale entries for removed members would not show through
+            # preset/postset, which reject unknown nodes.
+            assert (after._pred, after._succ) == (rebuilt._pred, rebuilt._succ)
+
+        reduce_net(_adjacency_case(name), order_seed, observer=check)
+        assert contractions
