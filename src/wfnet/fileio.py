@@ -360,22 +360,26 @@ def parse_forest(text: str) -> tuple[RefinementTree, ...]:
 
 
 def export_forest_dot(forest: tuple[RefinementTree, ...]) -> str:
-    """The contraction history as a tree diagram, class sets on internal nodes."""
+    """The contraction history as a tree diagram, class sets on internal nodes.
+
+    Walks each tree in preorder with its own stack, so any depth renders;
+    the edge into a node is listed when the node is visited.
+    """
     lines = ["digraph refinement {", "  rankdir=TB;"]
     edges: list[str] = []
-
-    def visit(tree: RefinementTree) -> None:
+    todo: list[tuple[RefinementTree, NodeId | None]] = [
+        (root, None) for root in reversed(sorted(forest, key=lambda t: t.first_leaf))
+    ]
+    while todo:
+        tree, parent = todo.pop()
+        if parent is not None:
+            edges.append(f'  "{parent}" -> "{tree.node}";')
         if isinstance(tree, Leaf):
             lines.append(f'  "{tree.node}" [shape=none];')
-            return
+            continue
         label = f"{tree.node}\\n{{{', '.join(sorted(tree.classes))}}}"
         lines.append(f'  "{tree.node}" [shape=ellipse, label="{label}"];')
-        for child in tree.children:
-            edges.append(f'  "{tree.node}" -> "{child.node}";')
-            visit(child)
-
-    for root in sorted(forest, key=lambda t: t.first_leaf):
-        visit(root)
+        todo.extend((child, tree.node) for child in reversed(tree.children))
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

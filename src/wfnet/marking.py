@@ -30,6 +30,13 @@ class Marking:
         object.__setattr__(self, "_counts", cleaned)
 
     @classmethod
+    def _canonical(cls, counts: tuple[tuple[NodeId, int], ...]) -> Marking:
+        """A marking from positive counts already sorted by place; skips the checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_counts", counts)
+        return m
+
+    @classmethod
     def uniform(cls, places: Iterable[NodeId], count: int = 1) -> Marking:
         """`count` tokens on every listed place (the k.I / k.O bags)."""
         return cls({p: count for p in places})
@@ -101,11 +108,16 @@ def output_marking(net: Net, k: int = 1) -> Marking:
     return Marking.uniform(net.outputs, k)
 
 
-def enabled_transitions(net: Net, m: Marking) -> frozenset[NodeId]:
-    """Transitions whose full preset is covered by m."""
+def _require_places(net: Net, m: Marking) -> None:
+    """KeyError for the first marked node that is not a place of `net`."""
     for place, _ in m:
         if place not in net.places:
             raise KeyError(place)
+
+
+def enabled_transitions(net: Net, m: Marking) -> frozenset[NodeId]:
+    """Transitions whose full preset is covered by m."""
+    _require_places(net, m)
     enabled = set()
     for t in net.transitions:
         if Marking.uniform(net.preset(t)) <= m:
@@ -114,9 +126,14 @@ def enabled_transitions(net: Net, m: Marking) -> frozenset[NodeId]:
 
 
 def fire(net: Net, m: Marking, t: NodeId) -> Marking:
-    """One step of the token game: consume the preset, produce the postset."""
+    """One step of the token game: consume the preset, produce the postset.
+
+    Raises KeyError when `t` is no transition or `m` marks a node that is
+    no place of `net`.
+    """
     if t not in net.transitions:
         raise KeyError(f"{t} is not a transition")
+    _require_places(net, m)
     consumed = Marking.uniform(net.preset(t))
     if not consumed <= m:
         raise ValueError(f"{t} is not enabled")

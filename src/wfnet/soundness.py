@@ -8,21 +8,34 @@ contract.
 
 Transition-interface nets are checked through their place completion, as
 their soundness notions are defined on it.
+
+The search runs on packed states: token counts in a tuple indexed by the
+net's sorted places.  Each transition is precomputed once as its preset
+and postset indices, so enabling is a test over a few indices, firing a
+list patch, and the token total is carried along with each state.
+`Marking`s appear only at the API boundary: the `ReachabilityGraph` views
+are built from the packed states on first access, and the checks turn only
+remainder starts and witnesses back into markings.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
-from .marking import Marking, fire, input_marking, output_marking
+from .marking import Marking, input_marking, output_marking
 from .nets import Net, NodeId, place_completion
 
 MAX_STATES = 100_000
 MAX_TOKENS = 64
 
 Status = Literal["sound", "unsound", "inconclusive"]
+
+
+# A marking packed as token counts indexed by the net's sorted places.
+Packed = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -33,13 +46,16 @@ class ReachabilityGraph:
     in deterministic order.  `parent` spans a breadth-first tree used to
     rebuild shortest firing sequences.  `bound_hit` names the first budget
     that was exhausted, if any; the graph is complete when it is None.
+
+    The `Marking` views are built from the packed states on first access.
     """
 
-    initial: Marking
-    edges: dict[Marking, tuple[tuple[NodeId, Marking], ...]]
-    parent: dict[Marking, tuple[Marking, NodeId]]
+    _places: tuple[NodeId, ...]
+    _initial: Packed
+    _edges: dict[Packed, tuple[tuple[NodeId, Packed], ...]]
+    _parent: dict[Packed, tuple[Packed, NodeId]]
     bound_hit: str | None
-    overfull: frozenset[Marking]
+    _overfull: frozenset[Packed]
 
     @property
     def complete(self) -> bool:
@@ -47,23 +63,53 @@ class ReachabilityGraph:
 
     @property
     def states(self) -> int:
-        return len(self.edges)
+        return len(self._edges)
 
-    def path_to(self, target: Marking) -> tuple[NodeId, ...]:
-        """Shortest firing sequence from the initial marking to `target`."""
+    @cached_property
+    def _markings(self) -> dict[Packed, Marking]:
+        return {}
+
+    def _marking(self, state: Packed) -> Marking:
+        """The one `Marking` view of a packed state, built on first use."""
+        m = self._markings.get(state)
+        if m is None:
+            m = self._markings[state] = _unpack(self._places, state)
+        return m
+
+    @cached_property
+    def initial(self) -> Marking:
+        return self._marking(self._initial)
+
+    @cached_property
+    def edges(self) -> dict[Marking, tuple[tuple[NodeId, Marking], ...]]:
+        marking = self._marking
+        return {
+            marking(m): tuple((t, marking(succ)) for t, succ in outs)
+            for m, outs in self._edges.items()
+        }
+
+    @cached_property
+    def parent(self) -> dict[Marking, tuple[Marking, NodeId]]:
+        marking = self._marking
+        return {marking(m): (marking(prev), t) for m, (prev, t) in self._parent.items()}
+
+    @cached_property
+    def overfull(self) -> frozenset[Marking]:
+        return frozenset(map(self._marking, self._overfull))
+
+    def _path(self, target: Packed) -> tuple[NodeId, ...]:
         steps: list[NodeId] = []
-        m = target
-        while m != self.initial:
-            m, t = self.parent[m]
+        while target != self._initial:
+            target, t = self._parent[target]
             steps.append(t)
         return tuple(reversed(steps))
 
-    def can_reach(self, target: Marking) -> frozenset[Marking]:
-        """All explored markings from which `target` is reachable."""
-        if target not in self.edges:
-            return frozenset()
-        backward: dict[Marking, list[Marking]] = {}
-        for m, outs in self.edges.items():
+    def _finishing(self, target: Packed) -> set[Packed]:
+        """All explored states from which `target` is reachable."""
+        if target not in self._edges:
+            return set()
+        backward: dict[Packed, list[Packed]] = {}
+        for m, outs in self._edges.items():
             for _, succ in outs:
                 backward.setdefault(succ, []).append(m)
         seen = {target}
@@ -74,7 +120,32 @@ class ReachabilityGraph:
                 if prev not in seen:
                     seen.add(prev)
                     frontier.append(prev)
-        return frozenset(seen)
+        return seen
+
+    def path_to(self, target: Marking) -> tuple[NodeId, ...]:
+        """Shortest firing sequence from the initial marking to `target`."""
+        return self._path(_pack(self._places, target))
+
+    def can_reach(self, target: Marking) -> frozenset[Marking]:
+        """All explored markings from which `target` is reachable."""
+        try:
+            packed = _pack(self._places, target)
+        except KeyError:
+            return frozenset()
+        return frozenset(map(self._marking, self._finishing(packed)))
+
+
+def _pack(places: tuple[NodeId, ...], m: Marking) -> Packed:
+    """`m` as counts indexed by `places`; KeyError if it marks any other node."""
+    index = {p: i for i, p in enumerate(places)}
+    counts = [0] * len(places)
+    for p, n in m:
+        counts[index[p]] = n
+    return tuple(counts)
+
+
+def _unpack(places: tuple[NodeId, ...], counts: Packed) -> Marking:
+    return Marking._canonical(tuple((p, n) for p, n in zip(places, counts) if n))
 
 
 def explore_reachable(
@@ -87,34 +158,49 @@ def explore_reachable(
 
     Markings holding more than `max_tokens` tokens in total are kept in the
     graph but not expanded; exceeding `max_states` stops the search.  Both
-    events mark the graph incomplete.
+    events mark the graph incomplete.  Raises KeyError when `initial` marks
+    a node that is not a place of `net`.
     """
     if max_states < 1 or max_tokens < 1:
         raise ValueError("exploration bounds must be at least 1")
 
-    # Precompute bag views of the presets and postsets once; firing is then
-    # pure marking arithmetic.
-    pre = {t: Marking.uniform(net.preset(t)) for t in sorted(net.transitions)}
-    post = {t: Marking.uniform(net.postset(t)) for t in sorted(net.transitions)}
+    # Each transition, in sorted order, as its preset and postset indices and
+    # the change it makes to the token total; firing is then a list patch.
+    places = tuple(sorted(net.places))
+    index = {p: i for i, p in enumerate(places)}
+    moves = []
+    for t in sorted(net.transitions):
+        pre = tuple(index[p] for p in net.preset(t))
+        post = tuple(index[p] for p in net.postset(t))
+        moves.append((t, pre, post, len(post) - len(pre)))
+    start = _pack(places, initial)
 
-    edges: dict[Marking, tuple[tuple[NodeId, Marking], ...]] = {}
-    parent: dict[Marking, tuple[Marking, NodeId]] = {}
-    overfull: set[Marking] = set()
+    edges: dict[Packed, tuple[tuple[NodeId, Packed], ...]] = {}
+    parent: dict[Packed, tuple[Packed, NodeId]] = {}
+    overfull: set[Packed] = set()
     bound_hit: str | None = None
 
-    queue = deque([initial])
-    seen = {initial}
+    queue = deque([(start, initial.total())])
+    seen = {start}
     while queue:
-        m = queue.popleft()
-        if m.total() > max_tokens:
+        m, total = queue.popleft()
+        if total > max_tokens:
             overfull.add(m)
             edges[m] = ()
             bound_hit = bound_hit or "max_tokens"
             continue
-        outgoing: list[tuple[NodeId, Marking]] = []
-        for t, consumed in pre.items():
-            if consumed <= m:
-                succ = m - consumed + post[t]
+        outgoing: list[tuple[NodeId, Packed]] = []
+        for t, pre, post, delta in moves:
+            for i in pre:
+                if not m[i]:
+                    break
+            else:
+                counts = list(m)
+                for i in pre:
+                    counts[i] -= 1
+                for i in post:
+                    counts[i] += 1
+                succ = tuple(counts)
                 outgoing.append((t, succ))
                 if succ not in seen:
                     if len(seen) >= max_states:
@@ -122,15 +208,16 @@ def explore_reachable(
                         continue
                     seen.add(succ)
                     parent[succ] = (m, t)
-                    queue.append(succ)
+                    queue.append((succ, total + delta))
         edges[m] = tuple(outgoing)
 
     return ReachabilityGraph(
-        initial=initial,
-        edges=edges,
-        parent=parent,
+        _places=places,
+        _initial=start,
+        _edges=edges,
+        _parent=parent,
         bound_hit=bound_hit,
-        overfull=frozenset(overfull),
+        _overfull=frozenset(overfull),
     )
 
 
@@ -241,7 +328,9 @@ def _check(net: Net, k: int, max_removed: int, max_states: int, max_tokens: int)
     k'=0 is answered by one backward sweep over the reachability graph, the
     other k' by fresh bounded explorations from each remainder, memoized
     per start marking.  Breadth-first insertion order makes the first
-    failure a shortest one.
+    failure a shortest one.  All of it runs on the graph's packed states;
+    only the start of each remainder exploration and a witness's stuck
+    marking become `Marking`s.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -256,27 +345,33 @@ def _check(net: Net, k: int, max_removed: int, max_states: int, max_tokens: int)
 
     if not graph.complete:
         return verdict("inconclusive", bound_hit=graph.bound_hit)
-    finishing = graph.can_reach(output_marking(target_net, k))
-    out_bag = output_marking(target_net, 1)
-    remainder_states: dict[Marking, frozenset[Marking]] = {}
-    for x in graph.edges:
+    places = graph._places
+    goals = [_pack(places, output_marking(target_net, j)) for j in range(k + 1)]
+    outputs = [i for i, n in enumerate(goals[1]) if n]
+    finishing = graph._finishing(goals[k])
+    remainders: dict[Packed, ReachabilityGraph] = {}
+    for x in graph._edges:
         for k_removed in range(max_removed + 1):
             if k_removed == 0:
                 stuck = x
                 ok = x in finishing
             else:
-                removed = out_bag * k_removed
-                if not removed <= x:
+                if any(x[i] < k_removed for i in outputs):
                     break
-                stuck = x - removed
-                if stuck not in remainder_states:
-                    sub = explore_reachable(target_net, stuck, max_states, max_tokens)
+                counts = list(x)
+                for i in outputs:
+                    counts[i] -= k_removed
+                stuck = tuple(counts)
+                if stuck not in remainders:
+                    sub = explore_reachable(target_net, _unpack(places, stuck), max_states, max_tokens)
                     explored += sub.states
                     if not sub.complete:
                         return verdict("inconclusive", bound_hit=sub.bound_hit)
-                    remainder_states[stuck] = frozenset(sub.edges)
-                ok = output_marking(target_net, k - k_removed) in remainder_states[stuck]
+                    remainders[stuck] = sub
+                ok = goals[k - k_removed] in remainders[stuck]._edges
             if not ok:
-                witness = Witness(firings=graph.path_to(x), stuck=stuck, removed_outputs=k_removed)
+                witness = Witness(
+                    firings=graph._path(x), stuck=_unpack(places, stuck), removed_outputs=k_removed
+                )
                 return verdict("unsound", witness=witness)
     return verdict("sound")

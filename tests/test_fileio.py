@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from conftest import DATA_DIR, NETS
 from wfnet import (
+    Internal,
+    Leaf,
     Net,
     NetParseError,
     export_dot,
@@ -329,3 +332,36 @@ class TestForestFiles:
         dot = export_forest_dot(result.forest)
         assert "digraph refinement" in dot
         assert "pAND" in dot or "tOR" in dot or "11" in dot
+
+
+class TestForestDot:
+    # SHA-256 of export_forest_dot over reduce_net's forest of each fixture.
+    FIXTURE_DIGESTS = {
+        "nested": "e6c2aed8fd12cf75de950e892c58af57ae35302d1a99a49ab0e03a973ea0bc0a",
+        "pand": "a741c4dfea5044a4b5e1cd14253706d138fc94b8c25cd12da48f461373ad910e",
+        "por11": "b6afd594bd056ac3fed9e1ef9a3961868a00674ae709d106804a0e1e9bc03b2b",
+        "por_wide": "033c854739d03ebaef281361d3fc08f3d8a9db734401b22459d669ebba4fa18d",
+        "tand11": "3a5b1a472365341f822fb8c38c401e9f0382b59f2641e761a415b89271fe63ee",
+        "tand_wide": "2ad2f61165964b6b63aa134530dac99173126d8d5399e8d6c6c5069149762d6d",
+        "tor": "9db1d116e920f606f55fc5bd03ebc92f669f810555b564bd3a4154800c8c8692",
+    }
+
+    @pytest.mark.parametrize("stem", sorted(NETS))
+    def test_fixture_bytes_are_pinned(self, stem, all_fixture_nets):
+        dot = export_forest_dot(reduce_net(all_fixture_nets[stem]).forest)
+        assert hashlib.sha256(dot.encode("utf-8")).hexdigest() == self.FIXTURE_DIGESTS[stem]
+
+    def test_5000_levels(self):
+        # Each level puts one leaf beside the tree below it.
+        levels = 5000
+        tree = Leaf("n0")
+        for level in range(1, levels):
+            tree = Internal(node=f"x{level}", classes=frozenset({"pAND"}),
+                            children=(tree, Leaf(f"n{level}")))
+        top = levels - 1
+        nodes = [f'  "x{i}" [shape=ellipse, label="x{i}\\n{{pAND}}"];' for i in range(top, 0, -1)]
+        nodes += [f'  "n{i}" [shape=none];' for i in range(levels)]
+        edges = [f'  "x{i}" -> "x{i - 1}";' for i in range(top, 1, -1)]
+        edges += ['  "x1" -> "n0";'] + [f'  "x{max(i, 1)}" -> "n{i}";' for i in range(1, levels)]
+        expected = ["digraph refinement {", "  rankdir=TB;", *nodes, *edges, "}"]
+        assert export_forest_dot((tree,)) == "\n".join(expected) + "\n"
