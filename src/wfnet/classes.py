@@ -12,33 +12,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nets import IoType, Net, is_acyclic
+from .nets import IoType, Net, NodeId, is_acyclic
 
 BASIC_CLASS_NAMES = ("pAND", "11tAND", "11pOR", "tOR")
 
 
-def has_and_property(net: Net) -> bool:
-    """Every place has one producer and one consumer, interface included."""
-    for p in net.places:
-        producers = len(net.preset(p))
-        consumers = len(net.postset(p))
-        if not ((p in net.inputs and producers == 0) or (p not in net.inputs and producers == 1)):
+def _wired(net: Net, nodes: frozenset[NodeId]) -> bool:
+    """Every node in `nodes` has one producer and one consumer, interface included."""
+    for n in nodes:
+        if len(net.preset(n)) != (0 if n in net.inputs else 1):
             return False
-        if not ((p in net.outputs and consumers == 0) or (p not in net.outputs and consumers == 1)):
+        if len(net.postset(n)) != (0 if n in net.outputs else 1):
             return False
     return True
+
+
+def has_and_property(net: Net) -> bool:
+    """Every place has one producer and one consumer, interface included."""
+    return _wired(net, net.places)
 
 
 def has_or_property(net: Net) -> bool:
     """Every transition has one producer and one consumer, interface included."""
-    for t in net.transitions:
-        producers = len(net.preset(t))
-        consumers = len(net.postset(t))
-        if not ((t in net.inputs and producers == 0) or (t not in net.inputs and producers == 1)):
-            return False
-        if not ((t in net.outputs and consumers == 0) or (t not in net.outputs and consumers == 1)):
-            return False
-    return True
+    return _wired(net, net.transitions)
 
 
 @dataclass(frozen=True)

@@ -292,9 +292,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once: `main` runs many times in one process when driven as a library.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except CliError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR

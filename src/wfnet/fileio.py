@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import Iterable
 
 from .nets import ID_PATTERN, Arc, Net, NodeId
 from .reduction import Internal, Leaf, RefinementTree
@@ -107,25 +108,8 @@ def _parse_native(text: str) -> ParsedNet:
     raw_arcs = data["arcs"]
     if not isinstance(raw_arcs, list):
         raise NetParseError("arcs must be a list of [source, target] pairs")
-    arcs: list[Arc] = []
-    seen_arcs: set[Arc] = set()
-    duplicates: list[Arc] = []
-    for entry in raw_arcs:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, str) for x in entry)
-        ):
-            raise NetParseError("arcs must be a list of [source, target] pairs")
-        arc = (entry[0], entry[1])
-        for endpoint in arc:
-            if endpoint not in declared:
-                raise NetParseError(f"arc references undeclared id {endpoint!r}")
-        if arc in seen_arcs:
-            duplicates.append(arc)
-            continue
-        seen_arcs.add(arc)
-        arcs.append(arc)
+    # A generator, so shape and id errors still surface in entry order.
+    arcs, duplicates = _collect_arcs((_native_arc(entry) for entry in raw_arcs), declared)
 
     net = Net.of(
         places=ids["places"],
@@ -136,6 +120,33 @@ def _parse_native(text: str) -> ParsedNet:
         name=name,
     )
     return ParsedNet(net=net, duplicate_arcs=tuple(sorted(set(duplicates))))
+
+
+def _native_arc(entry: object) -> Arc:
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 2
+        or not all(isinstance(x, str) for x in entry)
+    ):
+        raise NetParseError("arcs must be a list of [source, target] pairs")
+    return (entry[0], entry[1])
+
+
+def _collect_arcs(pairs: Iterable[Arc], declared: set[NodeId]) -> tuple[list[Arc], list[Arc]]:
+    """Arcs in first-seen order and their repeats, refusing undeclared ends."""
+    arcs: list[Arc] = []
+    duplicates: list[Arc] = []
+    seen: set[Arc] = set()
+    for arc in pairs:
+        for endpoint in arc:
+            if endpoint not in declared:
+                raise NetParseError(f"arc references undeclared id {endpoint!r}")
+        if arc in seen:
+            duplicates.append(arc)
+            continue
+        seen.add(arc)
+        arcs.append(arc)
+    return arcs, duplicates
 
 
 def _local(tag: str) -> str:
@@ -164,9 +175,6 @@ def _parse_pnml(text: str) -> ParsedNet:
 
     places: list[NodeId] = []
     transitions: list[NodeId] = []
-    arcs: list[Arc] = []
-    duplicates: list[Arc] = []
-    seen_arcs: set[Arc] = set()
     declared: set[NodeId] = set()
     annotated_inputs: list[NodeId] | None = None
     annotated_outputs: list[NodeId] | None = None
@@ -222,15 +230,7 @@ def _parse_pnml(text: str) -> ParsedNet:
 
     walk(net_el)
 
-    for arc in pending_arcs:
-        for endpoint in arc:
-            if endpoint not in declared:
-                raise NetParseError(f"arc references undeclared id {endpoint!r}")
-        if arc in seen_arcs:
-            duplicates.append(arc)
-            continue
-        seen_arcs.add(arc)
-        arcs.append(arc)
+    arcs, duplicates = _collect_arcs(pending_arcs, declared)
 
     if annotated_inputs is not None or annotated_outputs is not None:
         inputs = annotated_inputs or []
@@ -340,6 +340,8 @@ def _tree_from_data(data: object) -> RefinementTree:
         if classes:
             raise NetParseError("leaf entries cannot carry classes")
         return Leaf(node)
+    if not all(isinstance(c, str) for c in classes):
+        raise NetParseError("tree classes must be strings")
     return Internal(
         node=node,
         classes=frozenset(classes),

@@ -121,19 +121,84 @@ class Net:
         return dataclasses.replace(self, **changes)
 
 
-def _with_adjacency(
-    net: Net,
-    pred: dict[NodeId, frozenset[NodeId]],
-    succ: dict[NodeId, frozenset[NodeId]],
+def _replace_nodes(
+    host: Net,
+    old: frozenset[NodeId],
+    places: frozenset[NodeId],
+    transitions: frozenset[NodeId],
+    arcs: Iterable[Arc],
+    heads: frozenset[NodeId],
+    tails: frozenset[NodeId],
 ) -> Net:
-    """`net` with its preset and postset maps filled in, not derived from its arcs.
+    """`host` with its nodes `old` replaced by new places and transitions.
 
-    The caller vouches that `pred` and `succ` are exactly what `_pred` and
-    `_succ` would compute from `net.arcs`; the maps are adopted, not copied.
+    `arcs` are the arcs among the new nodes.  Arcs among `old` are dropped,
+    every arc that entered `old` from outside now enters each of `heads`,
+    and every arc that left it now leaves each of `tails`; host inputs in
+    `old` give way to `heads`, host outputs to `tails`.  The caller checks
+    that `old` are nodes of `host`; a new id that is already a node or an
+    arc end of `host` raises ValueError.
+
+    The result's arcs and adjacency maps are the host's, patched where
+    `old` was and at the nodes just outside it; no host arc outside the
+    presets and postsets of `old` is looked at, and the result never
+    rebuilds its adjacency from its arcs.
     """
-    net.__dict__["_pred"] = pred
-    net.__dict__["_succ"] = succ
-    return net
+    new = places | transitions
+    # Every node and arc target has a preset entry, every arc source a postset one.
+    clash = sorted(n for n in new if n in host._pred or n in host._succ)
+    if clash:
+        raise ValueError(f"ids already in use: {', '.join(clash)}")
+
+    pred = dict(host._pred)
+    succ = dict(host._succ)
+    dropped: set[Arc] = set()
+    feeders: set[NodeId] = set()
+    fed: set[NodeId] = set()
+    for n in old:
+        pre = pred.pop(n)
+        post = succ.pop(n)
+        dropped.update((a, n) for a in pre)
+        dropped.update((n, b) for b in post)
+        feeders |= pre
+        fed |= post
+    feeders -= old
+    fed -= old
+    for a in feeders:
+        succ[a] -= old
+    for b in fed:
+        pred[b] -= old
+
+    added = set(arcs)
+    added.update((a, h) for a in feeders for h in heads)
+    added.update((t, b) for t in tails for b in fed)
+    grown_pred: dict[NodeId, set[NodeId]] = {n: set() for n in new}
+    grown_succ: dict[NodeId, set[NodeId]] = {n: set() for n in new}
+    for a, b in added:
+        grown_succ.setdefault(a, set()).add(b)
+        grown_pred.setdefault(b, set()).add(a)
+    for n, extra in grown_pred.items():
+        pred[n] = pred.get(n, frozenset()) | extra
+    for n, extra in grown_succ.items():
+        succ[n] = succ.get(n, frozenset()) | extra
+
+    inputs = host.inputs
+    if inputs & old:
+        inputs = (inputs - old) | heads
+    outputs = host.outputs
+    if outputs & old:
+        outputs = (outputs - old) | tails
+    result = Net(
+        places=(host.places - old) | places,
+        transitions=(host.transitions - old) | transitions,
+        arcs=(host.arcs - dropped) | added,
+        inputs=inputs,
+        outputs=outputs,
+        name=host.name,
+    )
+    result.__dict__["_pred"] = pred
+    result.__dict__["_succ"] = succ
+    return result
 
 
 def reachable(net: Net, origin: NodeId, target: NodeId) -> bool:

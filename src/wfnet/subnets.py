@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nets import Net, NodeId, _with_adjacency, descendants_closure
+from .nets import Net, NodeId, _replace_nodes, descendants_closure
 
 
 @dataclass(frozen=True)
@@ -114,69 +114,17 @@ def contract(host: Net, selection: Iterable[NodeId], fresh: NodeId) -> Net:
     crossed the selection boundary, and joins the host interface exactly
     when the selection touched it.
 
-    The result's arcs and adjacency maps are the host's, patched where the
-    members were and at the nodes just outside them; no host arc outside
-    the members' presets and postsets is looked at, and the result never
-    rebuilds its adjacency from its arcs.
+    The result patches the host's arcs and adjacency maps; a `fresh` id
+    already in use in the host raises ValueError.
     """
     members = _members(host, selection)
-    # Every node, and every end of an arc, has an entry in the maps.
-    if fresh in host._pred:
-        raise ValueError(f"fresh id {fresh} already in use")
     view_inputs, view_outputs = _interface(host, members)
     kinds = {host.is_place(n) for n in view_inputs | view_outputs}
     if len(kinds) != 1:
         raise ValueError("interface is not all places or all transitions")
-    (is_place,) = kinds
-
-    touched: set[tuple[NodeId, NodeId]] = set()
-    feeders: set[NodeId] = set()
-    fed: set[NodeId] = set()
-    for n in members:
-        pre = host.preset(n)
-        post = host.postset(n)
-        touched.update((a, n) for a in pre)
-        touched.update((n, b) for b in post)
-        feeders |= pre
-        fed |= post
-    feeders -= members
-    fed -= members
-
-    pred = dict(host._pred)
-    succ = dict(host._succ)
-    for n in members:
-        del pred[n], succ[n]
-    for a in feeders:
-        succ[a] = (succ[a] - members) | {fresh}
-    for b in fed:
-        pred[b] = (pred[b] - members) | {fresh}
-    pred[fresh] = frozenset(feeders)
-    succ[fresh] = frozenset(fed)
-    arcs = (host.arcs - touched) | {(a, fresh) for a in feeders} | {(fresh, b) for b in fed}
-
-    inputs = host.inputs
-    if inputs & members:
-        inputs = (inputs - members) | {fresh}
-    outputs = host.outputs
-    if outputs & members:
-        outputs = (outputs - members) | {fresh}
-
-    places = host.places - members
-    transitions = host.transitions - members
-    if is_place:
-        places |= {fresh}
-    else:
-        transitions |= {fresh}
-
-    result = Net(
-        places=places,
-        transitions=transitions,
-        arcs=arcs,
-        inputs=inputs,
-        outputs=outputs,
-        name=host.name,
-    )
-    return _with_adjacency(result, pred, succ)
+    new = frozenset({fresh})
+    places, transitions = (new, frozenset()) if kinds == {True} else (frozenset(), new)
+    return _replace_nodes(host, members, places, transitions, (), new, new)
 
 
 def path_quotient_check(before: Net, after: Net, selection: Iterable[NodeId], fresh: NodeId) -> bool:

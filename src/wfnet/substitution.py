@@ -9,39 +9,21 @@ replaced node was itself an input or output.
 
 from __future__ import annotations
 
-from .nets import Net, NodeId
+from .nets import Net, NodeId, _replace_nodes
 
 
 def substitute(host: Net, node: NodeId, inner: Net) -> Net:
-    """Replace `node` in `host` by `inner`, rewiring its neighbourhood."""
+    """Replace `node` in `host` by `inner`, rewiring its neighbourhood.
+
+    The result patches the host's arcs and adjacency maps; an inner id
+    already in use in the host raises ValueError.
+    """
     if node not in host:
         raise KeyError(node)
-    clash = host.nodes & inner.nodes
-    if clash:
-        raise ValueError(f"inner net reuses host ids: {', '.join(sorted(clash))}")
     want = "place" if host.is_place(node) else "transition"
     if inner.io_type != want:
         raise ValueError(f"inner net must have a {want} interface to replace {node}")
-
-    before = host.preset(node)
-    after = host.postset(node)
-    arcs = {(a, b) for a, b in host.arcs if a != node and b != node}
-    arcs |= set(inner.arcs)
-    arcs |= {(a, n) for a in before for n in inner.inputs}
-    arcs |= {(n, b) for n in inner.outputs for b in after}
-
-    inputs = host.inputs
-    if node in inputs:
-        inputs = (inputs - {node}) | inner.inputs
-    outputs = host.outputs
-    if node in outputs:
-        outputs = (outputs - {node}) | inner.outputs
-
-    return Net(
-        places=(host.places - {node}) | inner.places,
-        transitions=(host.transitions - {node}) | inner.transitions,
-        arcs=frozenset(arcs),
-        inputs=inputs,
-        outputs=outputs,
-        name=host.name,
+    return _replace_nodes(
+        host, frozenset({node}), inner.places, inner.transitions, inner.arcs,
+        inner.inputs, inner.outputs,
     )

@@ -7,7 +7,17 @@ import json
 import pytest
 
 from conftest import DATA_DIR
-from wfnet import Net, parse_forest, parse_net, serialize_net, validate
+from wfnet import (
+    Net,
+    check_star_sound_bounded,
+    check_substitution_sound_bounded,
+    parse_forest,
+    parse_net,
+    reduce_net,
+    serialize_net,
+    summarize_star,
+    validate,
+)
 from wfnet.cli import main
 
 PAND = str(DATA_DIR / "pand.net")
@@ -354,3 +364,40 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("wfnet: error: ") and str(target) in err
+
+    @pytest.mark.parametrize("classes", [[1], [[1]]])
+    def test_tree_classes_must_be_strings(self, capsys, tmp_path, classes):
+        leaf = {"node": "b", "classes": [], "children": []}
+        tree = tmp_path / "tree.json"
+        tree.write_text(
+            json.dumps([{"node": "a", "classes": classes, "children": [leaf]}]), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "dot", "--tree", str(tree))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wfnet: error: ")
+
+
+class TestRepeatedCalls:
+    def test_options_do_not_leak_between_calls(self, capsys):
+        net = parse_net((DATA_DIR / "por11.net").read_text(encoding="utf-8")).net
+        sub = f"{POR11}: substitution {check_substitution_sound_bounded(net, 2).describe()}\n"
+        verdicts = check_star_sound_bounded(net, 3)
+        star = "".join(
+            f"{POR11}: {line}\n" if not line.startswith(" ") else f"{POR11}:{line}\n"
+            for line in [summarize_star(verdicts)] + [f"  {v.describe()}" for v in verdicts]
+        )
+        reduced = {
+            seed: serialize_net(reduce_net(net, seed=seed).net) for seed in (None, 3)
+        }
+        calls = [
+            (("soundness", "--sub", "--k", "2", POR11), sub),
+            (("soundness", POR11), star),
+            (("reduce", POR11, "--seed", "3"), reduced[3]),
+            (("soundness", POR11), star),
+            (("reduce", POR11), reduced[None]),
+            (("soundness", "--sub", "--k", "2", POR11), sub),
+        ]
+        for argv, expected in calls:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (0, expected, ""), argv

@@ -334,6 +334,15 @@ class TestForestFiles:
         assert "pAND" in dot or "tOR" in dot or "11" in dot
 
 
+class TestForestClassTypes:
+    @pytest.mark.parametrize("classes", [[1], [[1]]])
+    def test_non_string_classes_are_parse_errors(self, classes):
+        leaf = {"node": "b", "classes": [], "children": []}
+        text = json.dumps([{"node": "a", "classes": classes, "children": [leaf]}])
+        with pytest.raises(NetParseError):
+            parse_forest(text)
+
+
 class TestForestDot:
     # SHA-256 of export_forest_dot over reduce_net's forest of each fixture.
     FIXTURE_DIGESTS = {

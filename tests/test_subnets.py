@@ -203,3 +203,79 @@ class TestPatchedAdjacency:
 
         reduce_net(_adjacency_case(name), order_seed, observer=check)
         assert contractions
+
+
+def _assert_exact_adjacency(net: Net) -> None:
+    rebuilt = Net(
+        places=net.places, transitions=net.transitions, arcs=net.arcs,
+        inputs=net.inputs, outputs=net.outputs,
+    )
+    for n in rebuilt.nodes:
+        assert net.preset(n) == rebuilt.preset(n), n
+        assert net.postset(n) == rebuilt.postset(n), n
+    assert (net._pred, net._succ) == (rebuilt._pred, rebuilt._succ)
+
+
+class TestSubstitutedAdjacency:
+    """`substitute` hands its result the host's adjacency, patched."""
+
+    @pytest.mark.parametrize("io_type", ["place", "transition"])
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_every_generation_step(self, seed, io_type):
+        generated = generate_andor_net(
+            GenerationRecipe(seed=seed, substitution_steps=40, root_io_type=io_type)
+        )
+        root = generated.steps[0].node
+        net = Net.of(
+            places=[root] if io_type == "place" else [],
+            transitions=[root] if io_type == "transition" else [],
+            inputs=[root], outputs=[root],
+        )
+        for step in generated.steps:
+            net = substitute(net, step.node, step.inner)
+            _assert_exact_adjacency(net)
+            assert step.node not in net
+        assert net == generated.net
+
+    @pytest.mark.parametrize("node", ["a", "t1", "b", "t2", "c"])
+    def test_interface_and_inner_nodes(self, node):
+        chain = Net.of(
+            places=["a", "b", "c"], transitions=["t1", "t2"],
+            arcs=[("a", "t1"), ("t1", "b"), ("b", "t2"), ("t2", "c")],
+            inputs=["a"], outputs=["c"],
+        )
+        if chain.is_place(node):
+            inner = Net.of(
+                places=["r1", "r2", "r3"], transitions=["u"],
+                arcs=[("r1", "u"), ("u", "r3")],
+                inputs=["r1", "r2"], outputs=["r2", "r3"],
+            )
+        else:
+            inner = Net.of(
+                places=["m"], transitions=["u1", "u2", "u3"],
+                arcs=[("u1", "m"), ("m", "u3")],
+                inputs=["u1", "u2"], outputs=["u2", "u3"],
+            )
+        result = substitute(chain, node, inner)
+        _assert_exact_adjacency(result)
+        assert validate(result).ok
+        assert (node in chain.inputs) == (inner.inputs <= result.inputs)
+        assert (node in chain.outputs) == (inner.outputs <= result.outputs)
+
+
+class TestReusedIds:
+    """A new id that is only the end of a dangling host arc is still taken."""
+
+    def test_substitute_refuses_an_arc_source(self):
+        host = Net.of(places=["p"], arcs=[("x", "p")], inputs=["p"], outputs=["p"])
+        inner = Net.of(places=["x"], inputs=["x"], outputs=["x"])
+        with pytest.raises(ValueError):
+            substitute(host, "p", inner)
+
+    def test_contract_refuses_an_arc_source(self):
+        host = Net.of(
+            places=["p", "q"], transitions=["t"],
+            arcs=[("x", "p"), ("p", "t"), ("t", "q")], inputs=["p"], outputs=["q"],
+        )
+        with pytest.raises(ValueError):
+            contract(host, {"p"}, "x")
