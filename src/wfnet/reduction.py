@@ -14,7 +14,11 @@ Three detectors look for a contractible selection at one focus node:
 `reduce_net` runs them from a worklist of focus nodes, with a capped
 expand walk.  `find_contractible` runs the same detectors uncapped over
 every node; it is the completeness pass, and reduction stops only when it
-finds nothing.  Contracting whatever they find, over and over, terminates
+finds nothing.  Neither grows a pair of nodes that a necessary condition
+for a hit, proved in `find_contractible`, rules out; the completeness pass
+takes its pairs from an index of that condition built once per scan, so
+proving a normal form irreducible costs far fewer walks than there are
+pairs.  Contracting whatever they find, over and over, terminates
 (every step removes at least one node) and is confluent up to isomorphism,
 so the normal form does not depend on the order policy.  Its node ids and
 refinement tree do: the worklist's caps and its id-order tie-break between
@@ -205,6 +209,51 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     node, then the uncapped expand walk from every node, each phase in
     `order` (every node once), and returns the selection together with the
     basic classes of its view.  It finds a contraction whenever one exists.
+
+    The expand walk grows a pair (focus, o) only when the following lemma
+    allows it, so the pairs it skips are pairs `_grow` rejects; the
+    candidates it does grow keep their rank order, so the first hit is the
+    one growing every pair would give.  For a node n, with the classes of
+    n's type (`11pOR`, `pAND` for a place; `11tAND`, `tOR` for a
+    transition), let `in(n)` hold the one-in, one-out class iff `post(n)`
+    is non-empty and each node in it has exactly one predecessor and one
+    successor, and the other class iff `|post(n)| = 1`; `out(n)` is the
+    same with `pre(n)`.
+
+    Lemma.  For same-type nodes i != o with o reachable from i,
+    `_grow(i, o)`, capped or not, returns a hit only if
+    (a) `in(i)` and `out(o)` share a class, or
+    (b) i and o have the same (postset, output membership), or
+    (c) i and o have the same (preset, input membership).
+
+    Proof.  Assume neither (b) nor (c); it suffices that every class that
+    survives to the end of the walk lies in `in(i)` and in `out(o)`.  The
+    walk processes each node at most once (a node enters `pending` when it
+    enters `selection`), and it returns a hit only after `pending` empties
+    with `possible` non-empty, so it has processed i, o and everything they
+    pulled in; pruning only removes classes.  A capped walk that returns a
+    hit never passed its cap, so it is the uncapped walk.
+    - At i: its preset is `pre_i`, so that side pulls nothing in.  By not
+      (b), i does not join `outs`, where it is not yet (i != o), so its
+      postset is pulled in and `inner_post = |post(i)|` must be 1, or the
+      class of i's type that is not one-in, one-out is pruned.
+    - At o: dually, by not (c), `inner_pre = |pre(o)|` must be 1.
+    - At a node n in `post(i)`: n has the other type and i is in `pre(n)`,
+      while `pre(i)` holds only nodes of n's type, so `pre(n) != pre_i`;
+      `pre(n)` is pulled in and n is not in `ins` (it only joins there
+      through `pre(n) = pre_i`).  So `inner_pre = |pre(n)|` must be 1, or
+      the one-in, one-out class of i's type is pruned (n has the other
+      type).  If `post(n)` is non-empty it holds nodes of i's type, unlike
+      `post_o`, so it is pulled in and `|post(n)|` must be 1 as well.  If
+      it is empty, either n joins `outs`, which prunes the one-in, one-out
+      classes at once, or it does not and its `inner_post = 0 != 1` prunes
+      that class.  `post(i)` is non-empty, as i reaches o != i.
+    - At a node n in `pre(o)`: the same with presets and postsets swapped.
+    So the one-in, one-out class survives only if it lies in `in(i)` and
+    `out(o)`, and the other class likewise.  QED.
+
+    `_expand` reads the candidates from `_Partners`, which indexes the
+    nodes once per scan by the three tests, in O(N + E).
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
@@ -214,11 +263,67 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
             selection = detect(net, focus, rank)
             if selection is not None:
                 return _with_classes(net, selection)
+    partners = _Partners(net)
     for focus in ordering:
-        hit = _expand(net, focus, rank, capped=False)
+        hit = _expand(net, focus, rank, partners)
         if hit is not None:
             return hit
     return None
+
+
+def _end_classes(net: Net, n: NodeId, neighbours: frozenset[NodeId]) -> frozenset[str]:
+    """`in(n)` when `neighbours` is n's postset, `out(n)` when it is n's preset."""
+    place = net.is_place(n)
+    classes = set()
+    if neighbours and all(len(net.preset(m)) == 1 and len(net.postset(m)) == 1 for m in neighbours):
+        classes.add("11pOR" if place else "11tAND")
+    if len(neighbours) == 1:
+        classes.add("pAND" if place else "tOR")
+    return frozenset(classes)
+
+
+def _post_side(net: Net, n: NodeId) -> tuple[frozenset[NodeId], bool]:
+    return net.postset(n), n in net.outputs
+
+
+def _pre_side(net: Net, n: NodeId) -> tuple[frozenset[NodeId], bool]:
+    return net.preset(n), n in net.inputs
+
+
+def _may_grow(net: Net, i: NodeId) -> Callable[[NodeId], bool]:
+    """The lemma of `find_contractible` for the pairs (i, o), as a test of o."""
+    in_i = _end_classes(net, i, net.postset(i))
+    post_side = _post_side(net, i)
+    pre_side = _pre_side(net, i)
+    return lambda o: (
+        not in_i.isdisjoint(_end_classes(net, o, net.preset(o)))
+        or _post_side(net, o) == post_side
+        or _pre_side(net, o) == pre_side
+    )
+
+
+class _Partners:
+    """Every node indexed by `out(o)` and by its two sides, for the lemma of `find_contractible`."""
+
+    def __init__(self, net: Net):
+        self.net = net
+        self.by_class: dict[str, set[NodeId]] = {}
+        self.by_post: dict[tuple, set[NodeId]] = {}
+        self.by_pre: dict[tuple, set[NodeId]] = {}
+        for n in net.nodes:
+            for c in _end_classes(net, n, net.preset(n)):
+                self.by_class.setdefault(c, set()).add(n)
+            self.by_post.setdefault(_post_side(net, n), set()).add(n)
+            self.by_pre.setdefault(_pre_side(net, n), set()).add(n)
+
+    def of(self, i: NodeId) -> set[NodeId]:
+        """A superset of the nodes o != i reachable from i that pass the lemma's test for (i, o)."""
+        net = self.net
+        pool = self.by_post[_post_side(net, i)] | self.by_pre[_pre_side(net, i)]
+        for c in _end_classes(net, i, net.postset(i)):
+            pool |= self.by_class.get(c, set())
+        pool.discard(i)
+        return pool
 
 
 # The three detectors, shared by `find_contractible` and the worklist.  Each
@@ -262,17 +367,21 @@ def _parallel(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[Nod
     return None if twin is None else frozenset({focus, twin})
 
 
-def _expand(net: Net, focus: NodeId, rank: dict[NodeId, int], capped: bool) -> Hit | None:
+def _expand(net: Net, focus: NodeId, rank: dict[NodeId, int], partners: _Partners | None) -> Hit | None:
     """First selection grown from focus to a same-type node reachable from it.
 
-    Uncapped, every such node is tried in rank order.  Capped, only the
-    first `_CANDIDATE_CAP` are tried, nearest first and by rank within one
-    distance, among the first `_CANDIDATE_VISIT_CAP` nodes reached; and a
-    selection that outgrows `_GROW_CAP` nodes is given up.
+    Uncapped, for `find_contractible` with its `partners` index, every such
+    node the lemma there admits is tried, in rank order.  Capped (`partners`
+    None, for the worklist), only the first `_CANDIDATE_CAP` are considered,
+    nearest first and by rank within one distance, among the first
+    `_CANDIDATE_VISIT_CAP` nodes reached; of those, the ones the lemma
+    rules out are skipped, and a selection that outgrows `_GROW_CAP` nodes
+    is given up.  The lemma filters only after the list is cut, so it never
+    changes which candidates the cap keeps.
     """
     same_type = net.is_place(focus)
     key = _rank_key(rank)
-    if capped:
+    if partners is None:
         candidates: list[NodeId] = []
         seen = {focus}
         layer = [focus]
@@ -284,11 +393,16 @@ def _expand(net: Net, focus: NodeId, rank: dict[NodeId, int], capped: bool) -> H
             seen |= reached
             candidates += [n for n in layer if net.is_place(n) == same_type]
         del candidates[_CANDIDATE_CAP:]
+        candidates = list(filter(_may_grow(net, focus), candidates))
+        cap: int | None = _GROW_CAP
     else:
-        reach = descendants(net, focus) - {focus}
-        candidates = sorted((n for n in reach if net.is_place(n) == same_type), key=key)
+        pool = partners.of(focus)
+        if pool:
+            pool &= descendants(net, focus)
+        candidates = sorted((n for n in pool if net.is_place(n) == same_type), key=key)
+        cap = None
     for o in candidates:
-        hit = _grow(net, focus, o, _GROW_CAP if capped else None)
+        hit = _grow(net, focus, o, cap)
         if hit is not None:
             return hit
     return None
@@ -402,7 +516,7 @@ class _Reducer:
         selection = _loop(net, focus, {}) or _parallel(net, focus, self.rank)
         if selection is not None:
             return _with_classes(net, selection)
-        return _expand(net, focus, self.rank, capped=True)
+        return _expand(net, focus, self.rank, None)
 
     def _apply(self, hit: Hit, observer: Observer | None) -> None:
         selection, classes = hit

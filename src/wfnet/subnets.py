@@ -135,13 +135,21 @@ def path_quotient_check(before: Net, after: Net, selection: Iterable[NodeId], fr
     the mapped endpoints, and `after` must not connect nodes whose
     preimages were unconnected.
     """
+    return _is_path_quotient(descendants_closure(before), descendants_closure(after), selection, fresh)
+
+
+def _is_path_quotient(
+    closure_before: dict[NodeId, frozenset[NodeId]],
+    closure_after: dict[NodeId, frozenset[NodeId]],
+    selection: Iterable[NodeId],
+    fresh: NodeId,
+) -> bool:
+    """`path_quotient_check` on the two nets' `descendants_closure`."""
     members = frozenset(selection)
 
     def image(n: NodeId) -> NodeId:
         return fresh if n in members else n
 
-    closure_before = descendants_closure(before)
-    closure_after = descendants_closure(after)
     for origin, reached in closure_before.items():
         mapped_reach = closure_after[image(origin)]
         for target in reached:

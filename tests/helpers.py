@@ -11,6 +11,8 @@ import itertools
 import random
 
 from wfnet import Net, validate
+from wfnet import reduction
+from wfnet.nets import descendants
 
 Bag = tuple[tuple[str, int], ...]
 
@@ -305,4 +307,32 @@ def perturb(net: Net, seed: int, tries: int = 40) -> Net | None:
             continue
         if candidate != net and validate(candidate).ok:
             return candidate
+    return None
+
+
+def reference_scan(net: Net, order=None):
+    """`find_contractible` growing every reachable same-type pair.
+
+    The loop and parallel phases, then `_grow` from every focus to every
+    same-type node it reaches, in rank order, with no filter on the pairs:
+    the scan whose first hit the filtered completeness pass must return.
+    Unlike the oracles above it reuses the library's detectors and walk,
+    so it checks only which pairs the pass grows.
+    """
+    ordering = list(order) if order is not None else reduction.node_order(net)
+    rank = {n: k for k, n in enumerate(ordering)}
+    places = [n for n in ordering if net.is_place(n)]
+    for detect, foci in ((reduction._loop, places), (reduction._parallel, ordering)):
+        for focus in foci:
+            selection = detect(net, focus, rank)
+            if selection is not None:
+                return reduction._with_classes(net, selection)
+    key = reduction._rank_key(rank)
+    for focus in ordering:
+        same_type = net.is_place(focus)
+        reach = descendants(net, focus) - {focus}
+        for o in sorted((n for n in reach if net.is_place(n) == same_type), key=key):
+            hit = reduction._grow(net, focus, o)
+            if hit is not None:
+                return hit
     return None

@@ -38,6 +38,8 @@ from wfnet import (
     validate,
 )
 from wfnet.cli import main as cli_main
+from wfnet.nets import descendants_closure
+from wfnet.subnets import _is_path_quotient
 
 
 def _report(capsys, index: int, title: str, ok: bool, detail: str) -> None:
@@ -53,13 +55,29 @@ def quotient_log():
     return []
 
 
+def quotient_observer(log):
+    """A reduction observer that logs path_quotient_check for every contraction.
+
+    Each step's `before` is the previous step's `after`, so the closure
+    computed for that `after` is reused for it; every `after`'s closure is
+    computed from that net alone.
+    """
+    last = (None, None)
+
+    def observer(before, selection, fresh, after):
+        nonlocal last
+        closure_before = last[1] if last[0] is before else descendants_closure(before)
+        closure_after = descendants_closure(after)
+        log.append(_is_path_quotient(closure_before, closure_after, selection, fresh))
+        last = (after, closure_after)
+
+    return observer
+
+
 @pytest.fixture(scope="module")
 def verification_runs(quotient_log):
     """Reduction results and timings for the three membership fixtures."""
-
-    def observer(before, selection, fresh, after):
-        quotient_log.append(path_quotient_check(before, after, selection, fresh))
-
+    observer = quotient_observer(quotient_log)
     runs = {}
     for stem in ("nested", "tand_wide", "por_wide"):
         start = time.perf_counter()
@@ -71,10 +89,7 @@ def verification_runs(quotient_log):
 @pytest.fixture(scope="module")
 def confluence_runs(quotient_log):
     """200 generated nets, each reduced under five order policies."""
-
-    def observer(before, selection, fresh, after):
-        quotient_log.append(path_quotient_check(before, after, selection, fresh))
-
+    observer = quotient_observer(quotient_log)
     start = time.perf_counter()
     failures = []
     sizes = []
