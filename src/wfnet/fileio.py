@@ -19,6 +19,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable
 
+from .classes import BASIC_CLASS_NAMES
 from .nets import ID_PATTERN, Arc, Net, NodeId
 from .reduction import Internal, Leaf, RefinementTree
 
@@ -65,13 +66,17 @@ def sniff_format(text: str) -> str:
 _REQUIRED_KEYS = ("places", "transitions", "arcs", "inputs", "outputs")
 
 
-def _parse_native(text: str) -> ParsedNet:
+def _load_json(text: str) -> object:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _parse_native(text: str) -> ParsedNet:
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise NetParseError("top level must be an object")
     unknown = set(data) - set(_REQUIRED_KEYS) - {"name"}
@@ -328,7 +333,8 @@ def serialize_forest(forest: tuple[RefinementTree, ...]) -> str:
     return json.dumps([_tree_to_data(t) for t in roots], indent=2, sort_keys=True) + "\n"
 
 
-def _tree_from_data(data: object) -> RefinementTree:
+def _tree_from_data(data: object, seen: set[NodeId]) -> RefinementTree:
+    """One tree entry; `seen` collects the node ids of the whole forest."""
     if not isinstance(data, dict) or set(data) != {"node", "classes", "children"}:
         raise NetParseError("tree entries must be {node, classes, children} objects")
     node = data["node"]
@@ -336,29 +342,39 @@ def _tree_from_data(data: object) -> RefinementTree:
     children = data["children"]
     if not isinstance(node, str) or not isinstance(classes, list) or not isinstance(children, list):
         raise NetParseError("malformed tree entry")
+    if not ID_PATTERN.match(node):
+        raise NetParseError(f"bad id {node!r} in tree")
+    if node in seen:
+        raise NetParseError(f"duplicate id {node!r} in tree")
+    seen.add(node)
     if not children:
         if classes:
             raise NetParseError("leaf entries cannot carry classes")
         return Leaf(node)
     if not all(isinstance(c, str) for c in classes):
         raise NetParseError("tree classes must be strings")
+    unknown = sorted(set(classes) - set(BASIC_CLASS_NAMES))
+    if unknown:
+        raise NetParseError(f"unknown class {unknown[0]!r} in tree")
     return Internal(
         node=node,
         classes=frozenset(classes),
-        children=tuple(_tree_from_data(child) for child in children),
+        children=tuple(_tree_from_data(child, seen) for child in children),
     )
 
 
 def parse_forest(text: str) -> tuple[RefinementTree, ...]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetParseError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    """Read a refinement forest, refusing ids and classes a net cannot have.
+
+    Node ids follow the net id syntax and occur once in the forest, and
+    classes are basic class names, so nothing read here can break out of
+    the quoting of `export_forest_dot`.
+    """
+    data = _load_json(text)
     if not isinstance(data, list):
         raise NetParseError("top level must be a list of trees")
-    return tuple(_tree_from_data(entry) for entry in data)
+    seen: set[NodeId] = set()
+    return tuple(_tree_from_data(entry, seen) for entry in data)
 
 
 def export_forest_dot(forest: tuple[RefinementTree, ...]) -> str:

@@ -211,32 +211,26 @@ def reachable(net: Net, origin: NodeId, target: NodeId) -> bool:
     return target in descendants(net, origin)
 
 
-def descendants(net: Net, origin: NodeId) -> frozenset[NodeId]:
-    """All nodes reachable from origin, including origin itself."""
-    seen = {origin}
-    frontier = [origin]
-    succ = net._succ
+def _reach(step: dict[NodeId, frozenset[NodeId]], origins: Iterable[NodeId]) -> frozenset[NodeId]:
+    """All nodes reached from any of `origins` along `step`, the origins included."""
+    seen = set(origins)
+    frontier = list(seen)
     while frontier:
-        node = frontier.pop()
-        for nxt in succ.get(node, ()):
+        for nxt in step.get(frontier.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
 
 
+def descendants(net: Net, origin: NodeId) -> frozenset[NodeId]:
+    """All nodes reachable from origin, including origin itself."""
+    return _reach(net._succ, (origin,))
+
+
 def ancestors(net: Net, origin: NodeId) -> frozenset[NodeId]:
     """All nodes that reach origin, including origin itself."""
-    seen = {origin}
-    frontier = [origin]
-    pred = net._pred
-    while frontier:
-        node = frontier.pop()
-        for prv in pred.get(node, ()):
-            if prv not in seen:
-                seen.add(prv)
-                frontier.append(prv)
-    return frozenset(seen)
+    return _reach(net._pred, (origin,))
 
 
 def is_acyclic(net: Net) -> bool:
@@ -261,16 +255,15 @@ def descendants_closure(net: Net) -> dict[NodeId, frozenset[NodeId]]:
     propagates reachable sets over the condensation, so repeated queries stay
     cheap even on cyclic nets.
     """
-    order = sorted(net.nodes)
     succ = net._succ
     pred = net._pred
 
     finish: list[NodeId] = []
     seen: set[NodeId] = set()
-    for root in order:
+    for root in net.nodes:
         if root in seen:
             continue
-        stack: list[tuple[NodeId, Iterator[NodeId]]] = [(root, iter(sorted(succ.get(root, ()))))]
+        stack: list[tuple[NodeId, Iterator[NodeId]]] = [(root, iter(succ.get(root, ())))]
         seen.add(root)
         while stack:
             node, it = stack[-1]
@@ -278,7 +271,7 @@ def descendants_closure(net: Net) -> dict[NodeId, frozenset[NodeId]]:
             for nxt in it:
                 if nxt not in seen:
                     seen.add(nxt)
-                    stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
                     advanced = True
                     break
             if not advanced:
@@ -427,15 +420,9 @@ def validate(net: Net, duplicate_arcs: Iterable[Arc] = ()) -> ValidationReport:
     real_inputs = [n for n in net.inputs if n in net]
     real_outputs = [n for n in net.outputs if n in net]
     if real_inputs:
-        from_inputs: set[NodeId] = set()
-        for n in real_inputs:
-            from_inputs |= descendants(net, n)
-        unreachable = sorted(net.nodes - from_inputs)
+        unreachable = sorted(net.nodes - _reach(net._succ, real_inputs))
     if real_outputs:
-        to_outputs: set[NodeId] = set()
-        for n in real_outputs:
-            to_outputs |= ancestors(net, n)
-        dead_ends = sorted(net.nodes - to_outputs)
+        dead_ends = sorted(net.nodes - _reach(net._pred, real_outputs))
 
     report = ValidationReport(
         io_type=io_type,
@@ -507,6 +494,27 @@ class FreshIds:
         self._taken.update(ids)
 
 
+def _completion(net: Net, kind: IoType) -> Net:
+    """Close `net` with a fresh `kind` node feeding every input and one fed by every output."""
+    other = "transition" if kind == "place" else "place"
+    if net.io_type != other:
+        raise ValueError(f"{kind} completion applies to {other}-interface nets")
+    head = fresh_name(f"{kind[0]}_i", net.nodes)
+    tail = fresh_name(f"{kind[0]}_o", net.nodes | {head})
+    added = frozenset({head, tail})
+    places, transitions = (
+        (net.places | added, net.transitions) if kind == "place" else (net.places, net.transitions | added)
+    )
+    return Net(
+        places=places,
+        transitions=transitions,
+        arcs=net.arcs | {(head, n) for n in net.inputs} | {(n, tail) for n in net.outputs},
+        inputs=frozenset({head}),
+        outputs=frozenset({tail}),
+        name=net.name,
+    )
+
+
 def place_completion(net: Net) -> Net:
     """Close a transition-interface net with one input and one output place.
 
@@ -514,37 +522,9 @@ def place_completion(net: Net) -> Net:
     by every output transition; the result is a place-interface net with a
     single input and a single output.
     """
-    if net.io_type != "transition":
-        raise ValueError("place completion applies to transition-interface nets")
-    p_i = fresh_name("p_i", net.nodes)
-    p_o = fresh_name("p_o", net.nodes | {p_i})
-    arcs = set(net.arcs)
-    arcs.update((p_i, t) for t in net.inputs)
-    arcs.update((t, p_o) for t in net.outputs)
-    return Net(
-        places=net.places | {p_i, p_o},
-        transitions=net.transitions,
-        arcs=frozenset(arcs),
-        inputs=frozenset({p_i}),
-        outputs=frozenset({p_o}),
-        name=net.name,
-    )
+    return _completion(net, "place")
 
 
 def transition_completion(net: Net) -> Net:
     """Dual of `place_completion` for place-interface nets."""
-    if net.io_type != "place":
-        raise ValueError("transition completion applies to place-interface nets")
-    t_i = fresh_name("t_i", net.nodes)
-    t_o = fresh_name("t_o", net.nodes | {t_i})
-    arcs = set(net.arcs)
-    arcs.update((t_i, p) for p in net.inputs)
-    arcs.update((p, t_o) for p in net.outputs)
-    return Net(
-        places=net.places,
-        transitions=net.transitions | {t_i, t_o},
-        arcs=frozenset(arcs),
-        inputs=frozenset({t_i}),
-        outputs=frozenset({t_o}),
-        name=net.name,
-    )
+    return _completion(net, "transition")

@@ -130,10 +130,22 @@ def contract(host: Net, selection: Iterable[NodeId], fresh: NodeId) -> Net:
 def path_quotient_check(before: Net, after: Net, selection: Iterable[NodeId], fresh: NodeId) -> bool:
     """Is reachability in `after` exactly the quotient of reachability in `before`?
 
-    Maps every member of the contracted selection to the fresh node.  Any
-    directed path in `before` must have a counterpart in `after` between
-    the mapped endpoints, and `after` must not connect nodes whose
-    preimages were unconnected.
+    Let S be the selection and f the fresh node, and map every member to f:
+
+        img(X) = (X - S) | ({f} if X meets S)
+        U(a)   = closure_before[a] for a != f
+        U(f)   = the union of closure_before[m] over m in S
+
+    The check holds iff the nodes of `after` are (nodes of `before` - S) | {f},
+    with S within `before` and f not in it, and for every node a of `after`
+
+        closure_after[a] == img(U(a))
+
+    The equation says both halves of the quotient at once: img(U(a)) within
+    closure_after[a] is "every path of `before` has a counterpart in `after`
+    between the mapped endpoints", and closure_after[a] - {a} within
+    img(U(a)) is "`after` connects no nodes whose preimages were
+    unconnected"; a itself lies on both sides.
     """
     return _is_path_quotient(descendants_closure(before), descendants_closure(after), selection, fresh)
 
@@ -146,21 +158,16 @@ def _is_path_quotient(
 ) -> bool:
     """`path_quotient_check` on the two nets' `descendants_closure`."""
     members = frozenset(selection)
+    nodes = closure_before.keys()
+    if fresh in nodes or not members <= nodes or closure_after.keys() != (nodes - members) | {fresh}:
+        return False
+    fresh_set = frozenset({fresh})
 
-    def image(n: NodeId) -> NodeId:
-        return fresh if n in members else n
+    def img(reached: frozenset[NodeId]) -> frozenset[NodeId]:
+        return (reached - members) | fresh_set if reached & members else reached
 
-    for origin, reached in closure_before.items():
-        mapped_reach = closure_after[image(origin)]
-        for target in reached:
-            if image(target) not in mapped_reach:
-                return False
-    for origin, reached in closure_after.items():
-        origin_pre = members if origin == fresh else (origin,)
-        for target in reached:
-            if target == origin:
-                continue
-            target_pre = members if target == fresh else (target,)
-            if not any(t in closure_before[o] for o in origin_pre for t in target_pre):
-                return False
-    return True
+    merged = frozenset().union(*(closure_before[m] for m in members))
+    return all(
+        reached == img(merged if a == fresh else closure_before[a])
+        for a, reached in closure_after.items()
+    )

@@ -336,3 +336,32 @@ def reference_scan(net: Net, order=None):
             if hit is not None:
                 return hit
     return None
+
+
+def reference_path_quotient(closure_before: dict, closure_after: dict, selection, fresh) -> bool:
+    """`subnets._is_path_quotient` written as two pairwise loops.
+
+    Every path of `before` must map to a path of `after`, and every path of
+    `after` must have a preimage path in `before`, tested one (origin,
+    target) pair at a time.  It raises KeyError when the node sets of the
+    two nets do not match under the quotient map.
+    """
+    members = frozenset(selection)
+
+    def image(n):
+        return fresh if n in members else n
+
+    for origin, reached in closure_before.items():
+        mapped_reach = closure_after[image(origin)]
+        for target in reached:
+            if image(target) not in mapped_reach:
+                return False
+    for origin, reached in closure_after.items():
+        origin_pre = members if origin == fresh else (origin,)
+        for target in reached:
+            if target == origin:
+                continue
+            target_pre = members if target == fresh else (target,)
+            if not any(t in closure_before[o] for o in origin_pre for t in target_pre):
+                return False
+    return True

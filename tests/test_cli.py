@@ -377,6 +377,22 @@ class TestErrors:
         assert out == ""
         assert err.startswith("wfnet: error: ")
 
+    @pytest.mark.parametrize("node, classes", [
+        ('a" ]; x [label="pwn', []),
+        ("a", ['pAND"]; y [']),
+    ])
+    def test_hostile_tree_ids_and_classes(self, capsys, tmp_path, node, classes):
+        leaf = {"node": "b", "classes": [], "children": []}
+        tree = tmp_path / "tree.json"
+        children = [leaf] if classes else []
+        tree.write_text(
+            json.dumps([{"node": node, "classes": classes, "children": children}]), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "dot", "--tree", str(tree))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wfnet: error: ")
+
 
 class TestRepeatedCalls:
     def test_options_do_not_leak_between_calls(self, capsys):

@@ -343,6 +343,50 @@ class TestForestClassTypes:
             parse_forest(text)
 
 
+class TestForestIds:
+    """Tree files are outside input: ids and classes must be ones a net can have."""
+
+    @staticmethod
+    def forest(node="a", classes=("pAND",), leaves=("b",)):
+        children = [{"node": n, "classes": [], "children": []} for n in leaves]
+        return json.dumps([{"node": node, "classes": list(classes), "children": children}])
+
+    @pytest.mark.parametrize("node", ['a" ]; x [label="pwn', "", "a b", "a\n"])
+    def test_bad_internal_id(self, node):
+        with pytest.raises(NetParseError, match="bad id"):
+            parse_forest(self.forest(node=node))
+
+    def test_bad_leaf_id(self):
+        with pytest.raises(NetParseError, match="bad id"):
+            parse_forest(self.forest(leaves=("b", 'c"')))
+
+    @pytest.mark.parametrize("cls", ['pAND"]; y [', 'pAND\\"]; y [', "AND", "pand"])
+    def test_unknown_class(self, cls):
+        with pytest.raises(NetParseError, match="unknown class"):
+            parse_forest(self.forest(classes=("pAND", cls)))
+
+    @pytest.mark.parametrize("text", [
+        '[{"node": "a", "classes": ["pAND"], "children": ['
+        '{"node": "b", "classes": [], "children": []}, {"node": "b", "classes": [], "children": []}]}]',
+        '[{"node": "a", "classes": ["pAND"], "children": [{"node": "a", "classes": [], "children": []}]}]',
+        '[{"node": "a", "classes": [], "children": []}, {"node": "a", "classes": [], "children": []}]',
+    ])
+    def test_repeated_id(self, text):
+        with pytest.raises(NetParseError, match="duplicate id"):
+            parse_forest(text)
+
+    def test_every_basic_class_is_accepted(self):
+        classes = ("pAND", "11tAND", "11pOR", "tOR")
+        (tree,) = parse_forest(self.forest(classes=classes))
+        assert tree.classes == frozenset(classes)
+
+    def test_syntax_error_message_matches_net_files(self):
+        with pytest.raises(NetParseError, match=r"^syntax error at line 1, column 2: "):
+            parse_forest("[")
+        with pytest.raises(NetParseError, match=r"^syntax error at line 1, column 2: "):
+            parse_net("{")
+
+
 class TestForestDot:
     # SHA-256 of export_forest_dot over reduce_net's forest of each fixture.
     FIXTURE_DIGESTS = {

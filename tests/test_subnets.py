@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import NETS, load_fixture
+from helpers import reference_path_quotient
 from wfnet import (
     GenerationRecipe,
     Net,
@@ -17,7 +20,8 @@ from wfnet import (
     substitute,
     validate,
 )
-from wfnet.nets import InvalidNetError
+from wfnet.nets import InvalidNetError, descendants_closure
+from wfnet.subnets import _is_path_quotient
 
 
 class TestSubnetView:
@@ -166,6 +170,50 @@ class TestPathQuotient:
             inputs=["a1", "n"], outputs=["n", "b2"],
         )
         assert not path_quotient_check(before, forged, frozenset({"a2", "b1"}), "n")
+
+    @pytest.mark.parametrize("order_seed", [None, 1])
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_agrees_with_pairwise_reference(self, seed, order_seed):
+        # Every contraction's real `after`, one with an arc removed and one
+        # with a type-correct arc added, against the pairwise loops.
+        rng = random.Random(seed)
+        verdicts = []
+
+        def check(before, selection, fresh, after):
+            closure_before = descendants_closure(before)
+            assert path_quotient_check(before, after, selection, fresh)
+            forged = [after]
+            if after.arcs:
+                forged.append(after.replace(arcs=after.arcs - {rng.choice(sorted(after.arcs))}))
+            tail = rng.choice(sorted(after.nodes))
+            other_type = after.transitions if after.is_place(tail) else after.places
+            heads = sorted(other_type - after.postset(tail))
+            if heads:
+                forged.append(after.replace(arcs=after.arcs | {(tail, rng.choice(heads))}))
+            for candidate in forged:
+                closure_after = descendants_closure(candidate)
+                verdict = _is_path_quotient(closure_before, closure_after, selection, fresh)
+                assert verdict == reference_path_quotient(closure_before, closure_after, selection, fresh)
+                verdicts.append(verdict)
+
+        net = generate_andor_net(GenerationRecipe(seed=seed, substitution_steps=40)).net
+        reduce_net(net, seed=order_seed, observer=check)
+        assert True in verdicts and False in verdicts
+
+    def test_rejects_mismatched_node_sets(self, nested):
+        selection = frozenset({"p7", "p8", "t8", "t9", "p9", "p10", "t10"})
+        after = contract(nested, selection, "n")
+        closure_before = descendants_closure(nested)
+        extra = after.replace(places=after.places | {"extra"})
+        source = min(after.inputs)
+        missing = after.replace(
+            places=after.places - {source},
+            arcs=frozenset(arc for arc in after.arcs if source not in arc),
+        )
+        for forged in (extra, missing):
+            assert not _is_path_quotient(closure_before, descendants_closure(forged), selection, "n")
+        assert not _is_path_quotient(closure_before, descendants_closure(after), selection, min(selection))
+        assert not _is_path_quotient(closure_before, descendants_closure(after), selection | {"nowhere"}, "n")
 
 
 def _adjacency_case(name: str) -> Net:
