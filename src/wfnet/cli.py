@@ -14,6 +14,7 @@ flags; warnings and errors go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -174,12 +175,12 @@ def _soundness_task(
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:
-    tasks = [(path, args) for path in args.files]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_soundness_star, tasks))
+    if args.jobs > 1 and len(args.files) > 1:
+        # The pool starts all its workers at once, so ask for no more than there are files.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.files))) as pool:
+            results = list(pool.map(_soundness_task, args.files, itertools.repeat(args)))
     else:
-        results = [_soundness_task(path, ns) for path, ns in tasks]
+        results = [_soundness_task(path, args) for path in args.files]
     worst = EXIT_OK
     for code, out, err in results:
         for line in out:
@@ -188,10 +189,6 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
             print(line, file=sys.stderr)
         worst = _combine(worst, code)
     return worst
-
-
-def _soundness_star(task: tuple[str, argparse.Namespace]) -> tuple[int, list[str], list[str]]:
-    return _soundness_task(*task)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -185,9 +185,6 @@ def _parse_pnml(text: str) -> ParsedNet:
     annotated_outputs: list[NodeId] | None = None
     ignored: set[str] = set()
 
-    def note_ignored(el: ET.Element) -> None:
-        ignored.add(_local(el.tag))
-
     def require_id(el: ET.Element) -> NodeId:
         node_id = el.get("id")
         if node_id is None:
@@ -201,39 +198,42 @@ def _parse_pnml(text: str) -> ParsedNet:
 
     pending_arcs: list[tuple[NodeId, NodeId]] = []
 
-    def walk(el: ET.Element) -> None:
-        nonlocal annotated_inputs, annotated_outputs
-        for child in el:
-            tag = _local(child.tag)
-            if tag == "page":
-                walk(child)
-            elif tag == "place":
-                places.append(require_id(child))
-                _scan_node_extras(child, ignored)
-            elif tag == "transition":
-                transitions.append(require_id(child))
-                _scan_node_extras(child, ignored)
-            elif tag == "arc":
-                source = child.get("source")
-                target = child.get("target")
-                if source is None or target is None:
-                    raise NetParseError("arc element without source/target")
-                _check_arc_inscription(child, ignored)
-                pending_arcs.append((source, target))
-            elif tag == "toolspecific" and child.get("tool") == "wfnet":
-                for sub in child:
-                    sub_tag = _local(sub.tag)
-                    entries = (sub.text or "").split()
-                    if sub_tag == "inputs":
-                        annotated_inputs = entries
-                    elif sub_tag == "outputs":
-                        annotated_outputs = entries
-                    else:
-                        ignored.add(sub_tag)
-            else:
-                note_ignored(child)
-
-    walk(net_el)
+    # Pages nest to any depth: walk them with a stack of child iterators,
+    # in document order.
+    stack = [iter(net_el)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        tag = _local(child.tag)
+        if tag == "page":
+            stack.append(iter(child))
+        elif tag == "place":
+            places.append(require_id(child))
+            _scan_node_extras(child, ignored)
+        elif tag == "transition":
+            transitions.append(require_id(child))
+            _scan_node_extras(child, ignored)
+        elif tag == "arc":
+            source = child.get("source")
+            target = child.get("target")
+            if source is None or target is None:
+                raise NetParseError("arc element without source/target")
+            _check_arc_inscription(child, ignored)
+            pending_arcs.append((source, target))
+        elif tag == "toolspecific" and child.get("tool") == "wfnet":
+            for sub in child:
+                sub_tag = _local(sub.tag)
+                entries = (sub.text or "").split()
+                if sub_tag == "inputs":
+                    annotated_inputs = entries
+                elif sub_tag == "outputs":
+                    annotated_outputs = entries
+                else:
+                    ignored.add(sub_tag)
+        else:
+            ignored.add(tag)
 
     arcs, duplicates = _collect_arcs(pending_arcs, declared)
 

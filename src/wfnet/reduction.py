@@ -218,13 +218,16 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     transition), let `in(n)` hold the one-in, one-out class iff `post(n)`
     is non-empty and each node in it has exactly one predecessor and one
     successor, and the other class iff `|post(n)| = 1`; `out(n)` is the
-    same with `pre(n)`.
+    same with `pre(n)`.  `_ends(n, post(n))` is the key set made of
+    `in(n)`, (post, `post(n)`, n is an output) and (pre, `pre(n)`, n is an
+    input); `_ends(n, pre(n))` is the same with `out(n)` for `in(n)`.
 
     Lemma.  For same-type nodes i != o with o reachable from i,
     `_grow(i, o)`, capped or not, returns a hit only if
-    (a) `in(i)` and `out(o)` share a class, or
-    (b) i and o have the same (postset, output membership), or
-    (c) i and o have the same (preset, input membership).
+    `_ends(i, post(i))` and `_ends(o, pre(o))` share a key: (a) `in(i)`
+    and `out(o)` share a class, or (b) i and o have the same (postset,
+    output membership), or (c) i and o have the same (preset, input
+    membership).
 
     Proof.  Assume neither (b) nor (c); it suffices that every class that
     survives to the end of the walk lies in `in(i)` and in `out(o)`.  The
@@ -252,8 +255,8 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     So the one-in, one-out class survives only if it lies in `in(i)` and
     `out(o)`, and the other class likewise.  QED.
 
-    `_expand` reads the candidates from `_Partners`, which indexes the
-    nodes once per scan by the three tests, in O(N + E).
+    The candidates of a focus come from one index of every node's
+    `_ends(n, pre(n))`, built once per scan in O(N + E).
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
@@ -263,67 +266,44 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
             selection = detect(net, focus, rank)
             if selection is not None:
                 return _with_classes(net, selection)
-    partners = _Partners(net)
+    index: dict[object, set[NodeId]] = {}
+    for n in net.nodes:
+        for end in _ends(net, n, net.preset(n)):
+            index.setdefault(end, set()).add(n)
+    key = _rank_key(rank)
     for focus in ordering:
-        hit = _expand(net, focus, rank, partners)
+        pool = set().union(*(index.get(end, ()) for end in _ends(net, focus, net.postset(focus))))
+        pool.discard(focus)
+        if pool:
+            pool &= descendants(net, focus)
+        same_type = net.is_place(focus)
+        candidates = sorted((n for n in pool if net.is_place(n) == same_type), key=key)
+        hit = _expand(net, focus, candidates, None)
         if hit is not None:
             return hit
     return None
 
 
-def _end_classes(net: Net, n: NodeId, neighbours: frozenset[NodeId]) -> frozenset[str]:
-    """`in(n)` when `neighbours` is n's postset, `out(n)` when it is n's preset."""
+def _ends(net: Net, n: NodeId, near: frozenset[NodeId]) -> set[object]:
+    """n's keys for the lemma of `find_contractible`.
+
+    Its (postset, output membership), its (preset, input membership), and
+    the classes of `in(n)` when `near` is n's postset, of `out(n)` when it
+    is n's preset.
+    """
     place = net.is_place(n)
-    classes = set()
-    if neighbours and all(len(net.preset(m)) == 1 and len(net.postset(m)) == 1 for m in neighbours):
-        classes.add("11pOR" if place else "11tAND")
-    if len(neighbours) == 1:
-        classes.add("pAND" if place else "tOR")
-    return frozenset(classes)
-
-
-def _post_side(net: Net, n: NodeId) -> tuple[frozenset[NodeId], bool]:
-    return net.postset(n), n in net.outputs
-
-
-def _pre_side(net: Net, n: NodeId) -> tuple[frozenset[NodeId], bool]:
-    return net.preset(n), n in net.inputs
-
-
-def _may_grow(net: Net, i: NodeId) -> Callable[[NodeId], bool]:
-    """The lemma of `find_contractible` for the pairs (i, o), as a test of o."""
-    in_i = _end_classes(net, i, net.postset(i))
-    post_side = _post_side(net, i)
-    pre_side = _pre_side(net, i)
-    return lambda o: (
-        not in_i.isdisjoint(_end_classes(net, o, net.preset(o)))
-        or _post_side(net, o) == post_side
-        or _pre_side(net, o) == pre_side
-    )
-
-
-class _Partners:
-    """Every node indexed by `out(o)` and by its two sides, for the lemma of `find_contractible`."""
-
-    def __init__(self, net: Net):
-        self.net = net
-        self.by_class: dict[str, set[NodeId]] = {}
-        self.by_post: dict[tuple, set[NodeId]] = {}
-        self.by_pre: dict[tuple, set[NodeId]] = {}
-        for n in net.nodes:
-            for c in _end_classes(net, n, net.preset(n)):
-                self.by_class.setdefault(c, set()).add(n)
-            self.by_post.setdefault(_post_side(net, n), set()).add(n)
-            self.by_pre.setdefault(_pre_side(net, n), set()).add(n)
-
-    def of(self, i: NodeId) -> set[NodeId]:
-        """A superset of the nodes o != i reachable from i that pass the lemma's test for (i, o)."""
-        net = self.net
-        pool = self.by_post[_post_side(net, i)] | self.by_pre[_pre_side(net, i)]
-        for c in _end_classes(net, i, net.postset(i)):
-            pool |= self.by_class.get(c, set())
-        pool.discard(i)
-        return pool
+    ends: set[object] = {("post", net.postset(n), n in net.outputs), ("pre", net.preset(n), n in net.inputs)}
+    if len(near) == 1:
+        ends.add("pAND" if place else "tOR")
+    # A loop rather than all() over a generator: this runs for every
+    # worklist candidate, and the loop costs less per neighbour.
+    if near:
+        for m in near:
+            if len(net.preset(m)) != 1 or len(net.postset(m)) != 1:
+                break
+        else:
+            ends.add("11pOR" if place else "11tAND")
+    return ends
 
 
 # The three detectors, shared by `find_contractible` and the worklist.  Each
@@ -367,45 +347,38 @@ def _parallel(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[Nod
     return None if twin is None else frozenset({focus, twin})
 
 
-def _expand(net: Net, focus: NodeId, rank: dict[NodeId, int], partners: _Partners | None) -> Hit | None:
-    """First selection grown from focus to a same-type node reachable from it.
-
-    Uncapped, for `find_contractible` with its `partners` index, every such
-    node the lemma there admits is tried, in rank order.  Capped (`partners`
-    None, for the worklist), only the first `_CANDIDATE_CAP` are considered,
-    nearest first and by rank within one distance, among the first
-    `_CANDIDATE_VISIT_CAP` nodes reached; of those, the ones the lemma
-    rules out are skipped, and a selection that outgrows `_GROW_CAP` nodes
-    is given up.  The lemma filters only after the list is cut, so it never
-    changes which candidates the cap keeps.
-    """
-    same_type = net.is_place(focus)
-    key = _rank_key(rank)
-    if partners is None:
-        candidates: list[NodeId] = []
-        seen = {focus}
-        layer = [focus]
-        while layer and len(candidates) < _CANDIDATE_CAP and len(seen) < _CANDIDATE_VISIT_CAP:
-            reached: set[NodeId] = set()
-            for n in layer:
-                reached |= net.postset(n) - seen
-            layer = sorted(reached, key=key)
-            seen |= reached
-            candidates += [n for n in layer if net.is_place(n) == same_type]
-        del candidates[_CANDIDATE_CAP:]
-        candidates = list(filter(_may_grow(net, focus), candidates))
-        cap: int | None = _GROW_CAP
-    else:
-        pool = partners.of(focus)
-        if pool:
-            pool &= descendants(net, focus)
-        candidates = sorted((n for n in pool if net.is_place(n) == same_type), key=key)
-        cap = None
+def _expand(net: Net, focus: NodeId, candidates: Iterable[NodeId], cap: int | None) -> Hit | None:
+    """The first selection grown from focus to one of the candidates, in their order."""
     for o in candidates:
         hit = _grow(net, focus, o, cap)
         if hit is not None:
             return hit
     return None
+
+
+def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> list[NodeId]:
+    """The worklist's expand candidates for focus.
+
+    The first `_CANDIDATE_CAP` same-type nodes reachable from focus, nearest
+    first and by rank within one distance, among the first
+    `_CANDIDATE_VISIT_CAP` nodes reached; of those, the ones the lemma of
+    `find_contractible` rules out are dropped.  The lemma filters only after
+    the list is cut, so it never changes which candidates the cap keeps.
+    """
+    same_type = net.is_place(focus)
+    key = _rank_key(rank)
+    candidates: list[NodeId] = []
+    seen = {focus}
+    layer = [focus]
+    while layer and len(candidates) < _CANDIDATE_CAP and len(seen) < _CANDIDATE_VISIT_CAP:
+        reached: set[NodeId] = set()
+        for n in layer:
+            reached |= net.postset(n) - seen
+        layer = sorted(reached, key=key)
+        seen |= reached
+        candidates += [n for n in layer if net.is_place(n) == same_type]
+    mine = _ends(net, focus, net.postset(focus))
+    return [o for o in candidates[:_CANDIDATE_CAP] if not mine.isdisjoint(_ends(net, o, net.preset(o)))]
 
 
 def _with_classes(net: Net, selection: frozenset[NodeId]) -> Hit:
@@ -468,8 +441,7 @@ class _Reducer:
         self.rank: dict[NodeId, int] = {n: k for k, n in enumerate(node_order(net, seed))}
         self.trees: dict[NodeId, RefinementTree] = {n: Leaf(n) for n in net.nodes}
         self.fresh_ids = FreshIds(net.nodes)
-        self.queue: deque[NodeId] = deque(sorted(net.nodes, key=self.rank.__getitem__))
-        self.queued: set[NodeId] = set(self.queue)
+        self._requeue_all()
 
     def run(self, observer: Observer | None) -> ReduceResult:
         while True:
@@ -478,9 +450,10 @@ class _Reducer:
                 hit = find_contractible(self.net, self._ordering())
                 if hit is None:
                     break
-                self._apply(hit, observer)
+                # Queued before the contraction: its members are skipped when
+                # popped, and `_apply` appends the fresh node, which ranks
+                # last, so this is the whole queue of the contracted net.
                 self._requeue_all()
-                continue
             self._apply(hit, observer)
         roots = sorted(self.trees.values(), key=lambda t: t.first_leaf)
         return ReduceResult(net=self.net, forest=tuple(roots))
@@ -493,7 +466,7 @@ class _Reducer:
         self.queued = set(self.queue)
 
     def _enqueue(self, nodes: Iterable[NodeId]) -> None:
-        for n in sorted(nodes, key=lambda x: self.rank.get(x, len(self.rank))):
+        for n in sorted(nodes, key=self.rank.__getitem__):
             if n in self.net and n not in self.queued:
                 self.queue.append(n)
                 self.queued.add(n)
@@ -516,7 +489,7 @@ class _Reducer:
         selection = _loop(net, focus, {}) or _parallel(net, focus, self.rank)
         if selection is not None:
             return _with_classes(net, selection)
-        return _expand(net, focus, self.rank, None)
+        return _expand(net, focus, _nearby(net, focus, self.rank), _GROW_CAP)
 
     def _apply(self, hit: Hit, observer: Observer | None) -> None:
         selection, classes = hit

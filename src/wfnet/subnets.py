@@ -79,32 +79,17 @@ def subnet_view(host: Net, selection: Iterable[NodeId]) -> SubnetView:
 def is_well_nested(host: Net, selection: Iterable[NodeId]) -> bool:
     """Do all inputs of the induced subnet agree on their outside wiring?
 
-    Every pair of subnet inputs must share the same preset outside the
-    selection and the same host-input membership; dually for outputs.  This
-    is what makes the contracted node's wiring unambiguous.
+    The subnet inputs must have at most one outside-wiring signature: their
+    preset outside the selection with their host-input membership; dually
+    for outputs.  This is what makes the contracted node's wiring
+    unambiguous.
     """
     members = _members(host, selection)
     inputs, outputs = _interface(host, members)
-
-    def outside_pre(n: NodeId) -> frozenset[NodeId]:
-        return host.preset(n) - members
-
-    def outside_post(n: NodeId) -> frozenset[NodeId]:
-        return host.postset(n) - members
-
-    ins = sorted(inputs)
-    for n in ins[1:]:
-        if outside_pre(n) != outside_pre(ins[0]):
-            return False
-        if (n in host.inputs) != (ins[0] in host.inputs):
-            return False
-    outs = sorted(outputs)
-    for n in outs[1:]:
-        if outside_post(n) != outside_post(outs[0]):
-            return False
-        if (n in host.outputs) != (outs[0] in host.outputs):
-            return False
-    return True
+    return (
+        len({(host.preset(n) - members, n in host.inputs) for n in inputs}) <= 1
+        and len({(host.postset(n) - members, n in host.outputs) for n in outputs}) <= 1
+    )
 
 
 def contract(host: Net, selection: Iterable[NodeId], fresh: NodeId) -> Net:

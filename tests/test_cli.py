@@ -195,6 +195,30 @@ class TestSoundness:
         assert par_code == serial_code == 0
         assert par_out == serial_out
 
+    def test_jobs_asks_for_at_most_one_worker_per_file(self, capsys, monkeypatch):
+        # The pool starts every worker it is asked for at once; an in-process
+        # stand-in records the request without starting any.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("wfnet.cli.ProcessPoolExecutor", InProcessPool)
+        serial = run(capsys, "soundness", PAND, POR11)
+        parallel = run(capsys, "soundness", "--jobs", "64", PAND, POR11)
+        assert asked == [2]
+        assert parallel == serial
+
     def test_compare_reduced_is_advisory(self, capsys):
         code, out, err = run(capsys, "soundness", "--compare-reduced", PAND)
         assert code == 0
@@ -327,6 +351,17 @@ class TestPnmlInput:
         code, out, err = run(capsys, "reduce", str(path))
         assert code == 0
         assert len(parse_net(out).net) == 1
+
+    def test_pages_nest_to_any_depth(self, capsys, tmp_path):
+        depth = 5000
+        path = tmp_path / "deep.pnml"
+        path.write_text(
+            '<pnml><net id="n">' + "<page>" * depth + '<place id="p"/>' + "</page>" * depth + "</net></pnml>",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0, err
+        assert "valid workflow net" in out
 
 
 def nesting(levels: int) -> Net:

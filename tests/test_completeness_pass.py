@@ -2,7 +2,9 @@
 
 `find_contractible` skips every expand pair (focus, o) that the lemma in
 its docstring rules out.  `helpers.reference_scan` grows every pair; the
-two must return the same first hit, or both None, under every order.
+two must return the same first hit, or both None, under every order.  The
+lemma itself is checked on every pair of a set of small nets: a pair that
+`_grow` contracts, capped or not, must have meeting `_ends` keys.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 
 import pytest
 
+from conftest import NETS
 from helpers import perturb, reference_scan
 from wfnet import (
     GenerationRecipe,
@@ -23,6 +26,8 @@ from wfnet import (
     serialize_forest,
     serialize_net,
 )
+from wfnet.nets import descendants
+from wfnet.reduction import _GROW_CAP, _ends, _grow
 
 
 def scanned_nets(net: Net) -> list[Net]:
@@ -136,3 +141,41 @@ def test_worklist_filters_after_the_cut():
     result = reduce_net(net, 2)
     data = serialize_forest(result.forest) + serialize_net(result.net)
     assert hashlib.sha256(data.encode("utf-8")).hexdigest() == CUT_BEFORE_FILTER_DIGEST
+
+
+def lemma_nets() -> dict[str, Net]:
+    nets = dict(NETS, shared_postset=SHARED_POSTSET, shared_preset=SHARED_PRESET, dag=layered_dag(0, layers=21))
+    for seed in range(4):
+        net = generate_andor_net(GenerationRecipe(seed=seed, substitution_steps=8)).net
+        nets[f"member{seed}"] = net
+        for edit in range(2):
+            net = perturb(net, seed=10 * seed + edit)
+            if net is None:
+                break
+            nets[f"member{seed}_edit{edit}"] = net
+    return nets
+
+
+LEMMA_NETS = lemma_nets()
+
+
+def growing_pairs(net: Net) -> list[tuple[str, str]]:
+    """Every same-type pair (i, o), o reachable from i, that `_grow` contracts capped or uncapped."""
+    return [
+        (i, o)
+        for i in sorted(net.nodes)
+        for o in sorted(descendants(net, i) - {i})
+        if net.is_place(o) == net.is_place(i)
+        and any(_grow(net, i, o, cap) is not None for cap in (None, _GROW_CAP, 4))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_NETS))
+def test_lemma_admits_every_pair_that_grows(name):
+    net = LEMMA_NETS[name]
+    for i, o in growing_pairs(net):
+        assert not _ends(net, i, net.postset(i)).isdisjoint(_ends(net, o, net.preset(o))), (i, o)
+
+
+def test_every_lemma_net_but_the_dag_has_a_pair_that_grows():
+    assert [name for name, net in sorted(LEMMA_NETS.items()) if not growing_pairs(net)] == ["dag"]

@@ -224,6 +224,17 @@ class TestPnml:
         with pytest.raises(NetParseError, match="duplicate id"):
             parse_net(text, format="pnml")
 
+    def test_duplicate_id_across_nested_pages(self):
+        # In document order the second `b` is the first duplicate; reading a
+        # page's own nodes before its subpages would meet the second `a` first.
+        text = (
+            '<pnml><net id="n"><page id="outer"><page id="inner">'
+            '<place id="a"/><place id="b"/></page></page>'
+            '<place id="b"/><place id="a"/></net></pnml>'
+        )
+        with pytest.raises(NetParseError, match="duplicate id 'b'"):
+            parse_net(text, format="pnml")
+
     def test_missing_id(self):
         text = PNML.replace('<transition id="t1"/>', "<transition/>")
         with pytest.raises(NetParseError, match="without id"):
