@@ -2,13 +2,17 @@
 
 Exit codes are uniform across subcommands: 0 for success or an affirmative
 verdict, 1 for usage, parse, or validation problems and for files that
-cannot be written or trees too deep to encode, 2 for a negative
+cannot be read or written or trees too deep to encode, 2 for a negative
 verdict (not AND-OR, unsound), 3 when a check hit its exploration bounds
-before reaching a verdict.  When several files disagree the worst code
+before reaching a verdict.  `validate`, `classify` and `soundness` check
+every file they are given: a file that cannot be read, decoded, parsed or
+validated gets exit code 1 and error lines that start with its path, and
+the other files still run.  When several files disagree the worst code
 wins, in the order 1, then 2, then 3, then 0.
 
 All analysis output goes to stdout and is byte-stable for fixed inputs and
-flags; warnings and errors go to stderr.
+flags; warnings and errors go to stderr, except that `validate` lists
+loader warnings on stdout, in its report.
 """
 
 from __future__ import annotations
@@ -59,12 +63,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _read_parsed(path: str) -> ParsedNet:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    return parse_net(text, sniff_format(text))
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"{path}: error: cannot read: {exc}") from exc
+
+
+def _read_parsed(path: str) -> ParsedNet:
+    text = _read_text(path)
+    try:
+        return parse_net(text, sniff_format(text))
+    except NetParseError as exc:
+        raise CliError(f"{path}: error: {exc}") from exc
 
 
 def _load_checked(path: str) -> Net:
@@ -74,7 +85,7 @@ def _load_checked(path: str) -> Net:
         print(f"{path}: warning: {warning}", file=sys.stderr)
     report = validate(parsed.net, parsed.duplicate_arcs)
     if not report.ok:
-        raise CliError("\n".join(f"{path}: {line}" for line in report.lines()))
+        raise CliError("\n".join(f"{path}: error: {line}" for line in report.lines()))
     return parsed.net
 
 
@@ -85,30 +96,16 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    worst = EXIT_OK
-    for path in args.files:
-        try:
-            parsed = _read_parsed(path)
-        except (NetParseError, CliError) as exc:
-            print(f"{path}: error: {exc}", file=sys.stderr)
-            worst = EXIT_ERROR
-            continue
-        for warning in parsed.warnings:
-            print(f"{path}: warning: {warning}")
-        report = validate(parsed.net, parsed.duplicate_arcs)
-        for line in report.lines():
-            print(f"{path}: {line}")
-        if not report.ok:
-            worst = EXIT_ERROR
-    return worst
+def _validate_file(path: str, args: argparse.Namespace) -> tuple[int, list[str]]:
+    parsed = _read_parsed(path)
+    report = validate(parsed.net, parsed.duplicate_arcs)
+    out = [f"{path}: warning: {warning}" for warning in parsed.warnings]
+    out += [f"{path}: {line}" for line in report.lines()]
+    return (EXIT_OK if report.ok else EXIT_ERROR), out
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    for path in args.files:
-        net = _load_checked(path)
-        print(f"{path}: {classify(net).describe()}")
-    return EXIT_OK
+def _classify_file(path: str, args: argparse.Namespace) -> tuple[int, list[str]]:
+    return EXIT_OK, [f"{path}: {classify(_load_checked(path)).describe()}"]
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -156,13 +153,8 @@ def _combine(a: int, b: int) -> int:
     return min(a, b, key=order.index)
 
 
-def _soundness_task(
-    path: str, args: argparse.Namespace
-) -> tuple[int, list[str], list[str]]:
-    try:
-        net = _load_checked(path)
-    except (NetParseError, CliError) as exc:
-        return EXIT_ERROR, [], [f"{path}: error: {exc}"]
+def _soundness_file(path: str, args: argparse.Namespace) -> tuple[int, list[str]]:
+    net = _load_checked(path)
     code, lines = _soundness_check(net, args)
     out = [f"{path}: {line}" if not line.startswith(" ") else f"{path}:{line}" for line in lines]
     if args.compare_reduced:
@@ -171,16 +163,26 @@ def _soundness_task(
         agree = "agree" if reduced_code == code else "differ"
         out.append(f"{path}: experimental: reduced form ({len(reduced)} nodes) {reduced_lines[0]}")
         out.append(f"{path}: experimental: verdicts {agree}")
+    return code, out
+
+
+def _file_result(path: str, args: argparse.Namespace) -> tuple[int, list[str], list[str]]:
+    """`args.each` on one file as (exit code, stdout lines, stderr lines)."""
+    try:
+        code, out = args.each(path, args)
+    except CliError as exc:
+        return EXIT_ERROR, [], str(exc).splitlines()
     return code, out, []
 
 
-def _cmd_soundness(args: argparse.Namespace) -> int:
+def _run_files(args: argparse.Namespace) -> int:
+    """Check every file, print its lines in file order, and return the worst code."""
     if args.jobs > 1 and len(args.files) > 1:
         # The pool starts all its workers at once, so ask for no more than there are files.
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.files))) as pool:
-            results = list(pool.map(_soundness_task, args.files, itertools.repeat(args)))
+            results = list(pool.map(_file_result, args.files, itertools.repeat(args)))
     else:
-        results = [_soundness_task(path, args) for path in args.files]
+        results = map(_file_result, args.files, itertools.repeat(args))
     worst = EXIT_OK
     for code, out, err in results:
         for line in out:
@@ -204,13 +206,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     if args.tree:
-        try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read {args.file}: {exc}") from exc
-        sys.stdout.write(export_forest_dot(parse_forest(text)))
-        return EXIT_OK
-    sys.stdout.write(export_dot(_load_checked(args.file)))
+        sys.stdout.write(export_forest_dot(parse_forest(_read_text(args.file))))
+    else:
+        sys.stdout.write(export_dot(_load_checked(args.file)))
     return EXIT_OK
 
 
@@ -219,7 +217,7 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     try:
         completed = place_completion(net) if args.place else transition_completion(net)
     except ValueError as exc:
-        raise CliError(f"{args.file}: {exc}") from exc
+        raise CliError(f"{args.file}: error: {exc}") from exc
     _write_or_print(serialize_net(completed), args.output)
     return EXIT_OK
 
@@ -234,11 +232,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check the workflow net conditions")
     p.add_argument("files", nargs="+", metavar="FILE")
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_run_files, each=_validate_file, jobs=1)
 
     p = sub.add_parser("classify", help="report structural class flags")
     p.add_argument("files", nargs="+", metavar="FILE")
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_run_files, each=_classify_file, jobs=1)
 
     p = sub.add_parser("reduce", help="contract nested subnets to normal form")
     p.add_argument("file", metavar="FILE")
@@ -264,7 +262,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="experimental: also check the reduced net and report whether verdicts agree",
     )
-    p.set_defaults(handler=_cmd_soundness)
+    p.set_defaults(handler=_run_files, each=_soundness_file)
 
     p = sub.add_parser("generate", help="grow a random net by repeated substitution")
     p.add_argument("--seed", type=int, required=True)

@@ -73,6 +73,8 @@ def _load_json(text: str) -> object:
         raise NetParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise NetParseError("nested too deeply to parse") from exc
 
 
 def _parse_native(text: str) -> ParsedNet:
@@ -169,8 +171,6 @@ def _parse_pnml(text: str) -> ParsedNet:
         raise NetParseError(f"syntax error at line {line}, column {column}: malformed XML") from exc
 
     nets = [el for el in root.iter() if _local(el.tag) == "net"]
-    if _local(root.tag) == "net":
-        nets = [root] + nets
     if not nets:
         raise NetParseError("no net element found")
     warnings: list[str] = []

@@ -17,11 +17,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .classes import classify
-from .nets import Net, NodeId, validate
+from .classes import BASIC_CLASS_NAMES, classify
+from .nets import Arc, Net, NodeId, validate
 from .substitution import substitute
 
-BASIC_KINDS = ("pAND", "11tAND", "11pOR", "tOR")
+BASIC_KINDS = BASIC_CLASS_NAMES
 _PLACE_KINDS = ("pAND", "11pOR")
 _TRANSITION_KINDS = ("11tAND", "tOR")
 
@@ -115,6 +115,13 @@ def generate_andor_net(recipe: GenerationRecipe) -> GeneratedNet:
     return GeneratedNet(net=net, steps=tuple(steps))
 
 
+def _link(new_id: NodeId, middles: list[NodeId], arcs: list[Arc], src: NodeId, dst: NodeId) -> None:
+    """Bridge `src` to `dst` through the fresh node `new_id`, recorded in `middles`."""
+    middles.append(new_id)
+    arcs.append((src, new_id))
+    arcs.append((new_id, dst))
+
+
 def _build_pand(budget: int, rng: random.Random, ids: IdSource) -> Net:
     # Occasionally just a bundle of parallel interface places.
     if rng.random() < 0.15:
@@ -125,49 +132,42 @@ def _build_pand(budget: int, rng: random.Random, ids: IdSource) -> Net:
     trans = [ids.transition() for _ in range(k)]
     arcs: list[tuple[NodeId, NodeId]] = []
     places: list[NodeId] = []
-    has_in = [False] * k
-    has_out = [False] * k
-
-    def join(i: int, j: int) -> None:
-        p = ids.place()
-        places.append(p)
-        arcs.append((trans[i], p))
-        arcs.append((p, trans[j]))
-        has_out[i] = True
-        has_in[j] = True
-
-    for j in range(1, k):
-        join(rng.randrange(j), j)
-
     inputs: list[NodeId] = []
     outputs: list[NodeId] = []
+
+    def add_input(t: NodeId) -> None:
+        p = ids.place()
+        places.append(p)
+        inputs.append(p)
+        arcs.append((p, t))
+
+    def add_output(t: NodeId) -> None:
+        p = ids.place()
+        places.append(p)
+        outputs.append(p)
+        arcs.append((t, p))
+
+    # A tree rooted at the first transition: every other one gets a place
+    # before it, so only the first needs an input place.
+    feeders: set[int] = set()
+    for j in range(1, k):
+        i = rng.randrange(j)
+        _link(ids.place(), places, arcs, trans[i], trans[j])
+        feeders.add(i)
+    add_input(trans[0])
     for j in range(k):
-        if not has_in[j]:
-            p = ids.place()
-            places.append(p)
-            inputs.append(p)
-            arcs.append((p, trans[j]))
-        if not has_out[j]:
-            p = ids.place()
-            places.append(p)
-            outputs.append(p)
-            arcs.append((trans[j], p))
+        if j not in feeders:
+            add_output(trans[j])
 
     while k + len(places) < budget and rng.random() < 0.7:
         kind = rng.randrange(3)
         if kind == 0 and k > 1:
             i = rng.randrange(k - 1)
-            join(i, rng.randrange(i + 1, k))
+            _link(ids.place(), places, arcs, trans[i], trans[rng.randrange(i + 1, k)])
         elif kind == 1:
-            p = ids.place()
-            places.append(p)
-            inputs.append(p)
-            arcs.append((p, trans[rng.randrange(k)]))
+            add_input(trans[rng.randrange(k)])
         else:
-            p = ids.place()
-            places.append(p)
-            outputs.append(p)
-            arcs.append((trans[rng.randrange(k)], p))
+            add_output(trans[rng.randrange(k)])
 
     return Net.of(places=places, transitions=trans, arcs=arcs, inputs=inputs, outputs=outputs)
 
@@ -178,18 +178,12 @@ def _build_tand11(budget: int, rng: random.Random, ids: IdSource) -> Net:
     places: list[NodeId] = []
     arcs: list[tuple[NodeId, NodeId]] = []
 
-    def join(i: int, j: int) -> None:
-        p = ids.place()
-        places.append(p)
-        arcs.append((trans[i], p))
-        arcs.append((p, trans[j]))
-
     # A spine through every transition keeps the interface at the two ends.
     for j in range(1, k):
-        join(j - 1, j)
+        _link(ids.place(), places, arcs, trans[j - 1], trans[j])
     while k + len(places) < budget and rng.random() < 0.7 and k > 1:
         i = rng.randrange(k - 1)
-        join(i, rng.randrange(i + 1, k))
+        _link(ids.place(), places, arcs, trans[i], trans[rng.randrange(i + 1, k)])
 
     return Net.of(
         places=places,
@@ -207,16 +201,10 @@ def _build_por11(budget: int, rng: random.Random, ids: IdSource) -> Net:
     trans: list[NodeId] = []
     arcs: list[tuple[NodeId, NodeId]] = []
 
-    def edge(src: NodeId, dst: NodeId) -> None:
-        t = ids.transition()
-        trans.append(t)
-        arcs.append((src, t))
-        arcs.append((t, dst))
-
     for a, b in zip(order, order[1:]):
-        edge(a, b)
+        _link(ids.transition(), trans, arcs, a, b)
     while n + len(trans) < budget and rng.random() < 0.7:
-        edge(rng.choice(sorted(places)), rng.choice(sorted(places)))
+        _link(ids.transition(), trans, arcs, rng.choice(sorted(places)), rng.choice(sorted(places)))
 
     return Net.of(
         places=places,
@@ -240,14 +228,8 @@ def _build_tor(budget: int, rng: random.Random, ids: IdSource) -> Net:
     trans: list[NodeId] = []
     arcs: list[tuple[NodeId, NodeId]] = []
 
-    def edge(src: NodeId, dst: NodeId) -> None:
-        t = ids.transition()
-        trans.append(t)
-        arcs.append((src, t))
-        arcs.append((t, dst))
-
     for a, b in zip(places, places[1:]):
-        edge(a, b)
+        _link(ids.transition(), trans, arcs, a, b)
 
     inputs: list[NodeId] = []
     for i in range(n_in):
@@ -263,6 +245,6 @@ def _build_tor(budget: int, rng: random.Random, ids: IdSource) -> Net:
         arcs.append(((places[-1] if i == 0 else rng.choice(sorted(places))), t))
 
     while n + len(trans) < budget and rng.random() < 0.7:
-        edge(rng.choice(sorted(places)), rng.choice(sorted(places)))
+        _link(ids.transition(), trans, arcs, rng.choice(sorted(places)), rng.choice(sorted(places)))
 
     return Net.of(places=places, transitions=trans, arcs=arcs, inputs=inputs, outputs=outputs)

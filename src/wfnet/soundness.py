@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Literal
 
 from .marking import Marking, input_marking, output_marking
-from .nets import Net, NodeId, place_completion
+from .nets import Net, NodeId, _reach, place_completion
 
 MAX_STATES = 100_000
 MAX_TOKENS = 64
@@ -104,23 +104,15 @@ class ReachabilityGraph:
             steps.append(t)
         return tuple(reversed(steps))
 
-    def _finishing(self, target: Packed) -> set[Packed]:
+    def _finishing(self, target: Packed) -> frozenset[Packed]:
         """All explored states from which `target` is reachable."""
         if target not in self._edges:
-            return set()
+            return frozenset()
         backward: dict[Packed, list[Packed]] = {}
         for m, outs in self._edges.items():
             for _, succ in outs:
                 backward.setdefault(succ, []).append(m)
-        seen = {target}
-        frontier = deque([target])
-        while frontier:
-            m = frontier.popleft()
-            for prev in backward.get(m, ()):
-                if prev not in seen:
-                    seen.add(prev)
-                    frontier.append(prev)
-        return seen
+        return _reach(backward, (target,))
 
     def path_to(self, target: Marking) -> tuple[NodeId, ...]:
         """Shortest firing sequence from the initial marking to `target`."""

@@ -34,6 +34,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def invalid_net(tmp_path):
+    """A net that parses but fails validation: both interface sets are empty."""
+    doc = {"places": ["p"], "transitions": [], "arcs": [], "inputs": [], "outputs": []}
+    path = tmp_path / "invalid.net"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def undecodable(tmp_path):
+    path = tmp_path / "latin.net"
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
 class TestParsing:
     def test_no_arguments_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, )
@@ -101,6 +117,15 @@ class TestClassify:
         _, first, _ = run(capsys, "classify", PAND, TAND11, POR11, NESTED)
         _, second, _ = run(capsys, "classify", PAND, TAND11, POR11, NESTED)
         assert first == second
+
+    def test_bad_file_does_not_stop_the_others(self, capsys, invalid_net):
+        code, out, err = run(capsys, "classify", PAND, invalid_net, POR_WIDE)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"{PAND}: pAND")
+        assert lines[1].startswith(f"{POR_WIDE}: pOR")
+        assert err.startswith(f"{invalid_net}: error: ")
 
 
 class TestReduce:
@@ -187,6 +212,21 @@ class TestSoundness:
         code, out, err = run(capsys, "soundness", "--k", "1", POR_WIDE, str(bad))
         assert code == 1
 
+    def test_error_lines_name_the_file_once(self, capsys, invalid_net):
+        code, out, err = run(capsys, "soundness", "--k", "1", invalid_net)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert lines and all(line.startswith(f"{invalid_net}: error: ") for line in lines)
+        assert not any(f"{invalid_net}: error: {invalid_net}:" in line for line in lines)
+
+    def test_real_pool_matches_serial_on_a_bad_file(self, capsys, invalid_net):
+        files = (PAND, invalid_net, POR11)
+        serial = run(capsys, "soundness", *files)
+        parallel = run(capsys, "soundness", "--jobs", "2", *files)
+        assert serial[0] == 1
+        assert parallel == serial
+
     def test_parallel_jobs_match_serial(self, capsys):
         serial_code, serial_out, _ = run(capsys, "soundness", PAND, POR11, TAND11)
         par_code, par_out, _ = run(
@@ -234,6 +274,45 @@ class TestSoundness:
         # the advisory check lands on the same verdict here.
         assert "experimental: reduced form (7 nodes) unsound k=1" in out
         assert "experimental: verdicts agree" in out
+
+
+class TestBadFiles:
+    @pytest.mark.parametrize("argv", [("validate",), ("soundness", "--k", "1")])
+    def test_undecodable_file_does_not_stop_the_others(self, capsys, undecodable, argv):
+        code, out, err = run(capsys, *argv, undecodable, PAND)
+        assert code == 1
+        assert out.startswith(f"{PAND}: ")
+        assert err.startswith(f"{undecodable}: error: cannot read: ")
+        assert err.count(undecodable) == 1
+
+    def test_undecodable_file_for_one_file_commands(self, capsys, undecodable):
+        code, out, err = run(capsys, "reduce", undecodable)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{undecodable}: error: cannot read: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("reduce",), ("verify-andor",), ("dot",), ("complete", "--place"),
+    ])
+    def test_one_file_commands_prefix_the_path_once(self, capsys, invalid_net, argv):
+        code, out, err = run(capsys, *argv, invalid_net)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{invalid_net}: error: ")
+        assert err.count(invalid_net) == 1
+
+    def test_wrong_interface_kind_names_the_file(self, capsys):
+        code, out, err = run(capsys, "complete", "--place", PAND)
+        assert code == 1
+        assert err.startswith(f"{PAND}: error: ")
+
+    def test_nesting_too_deep_to_parse(self, capsys, tmp_path):
+        path = tmp_path / "deep.net"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path), PAND)
+        assert code == 1
+        assert out.startswith(f"{PAND}: valid workflow net")
+        assert err.startswith(f"{path}: error: nested too deeply")
 
 
 class TestGenerate:

@@ -97,6 +97,11 @@ class TestNativeErrors:
         with pytest.raises(NetParseError, match="object"):
             parse_net("[1, 2]")
 
+    def test_nesting_too_deep_for_the_decoder(self):
+        depth = 100_000
+        with pytest.raises(NetParseError, match="nested too deeply"):
+            parse_net("[" * depth + "]" * depth)
+
     def test_missing_key(self):
         with pytest.raises(NetParseError, match="missing key 'outputs'"):
             parse_net('{"places": [], "transitions": [], "arcs": [], "inputs": []}')
@@ -218,6 +223,16 @@ class TestPnml:
     def test_no_net_element(self):
         with pytest.raises(NetParseError, match="no net element"):
             parse_net("<pnml/>", format="pnml")
+
+    def test_net_root_is_one_net(self):
+        parsed = parse_net('<net id="n"><place id="p"/></net>', format="pnml")
+        assert parsed.warnings == ()
+
+    def test_extra_net_elements_warn(self):
+        text = '<pnml><net id="a"><place id="p"/></net><net id="b"><place id="q"/></net></pnml>'
+        parsed = parse_net(text, format="pnml")
+        assert parsed.warnings == ("ignored 1 additional net element(s)",)
+        assert parsed.net.places == {"p"}
 
     def test_duplicate_id(self):
         text = PNML.replace('<transition id="t1"/>', '<transition id="p1"/>')
