@@ -2,13 +2,11 @@
 
 Exit codes are uniform across subcommands: 0 for success or an affirmative
 verdict, 1 for usage, parse, or validation problems and for files that
-cannot be read or written or trees too deep to encode, 2 for a negative
-verdict (not AND-OR, unsound), 3 when a check hit its exploration bounds
-before reaching a verdict.  `validate`, `classify` and `soundness` check
-every file they are given: a file that cannot be read, decoded, parsed or
-validated gets exit code 1 and error lines that start with its path, and
-the other files still run.  When several files disagree the worst code
-wins, in the order 1, then 2, then 3, then 0.
+cannot be read or written, 2 for a negative verdict (not AND-OR, unsound),
+3 when a check hit its exploration bounds before reaching a verdict.  Error
+lines about an input file start with its path.  `validate`, `classify` and
+`soundness` check every file they are given, and when several files
+disagree the worst code wins, in the order 1, then 2, then 3, then 0.
 
 All analysis output goes to stdout and is byte-stable for fixed inputs and
 flags; warnings and errors go to stderr, except that `validate` lists
@@ -22,6 +20,7 @@ import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .classes import classify
 from .fileio import (
@@ -52,6 +51,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
+_T = TypeVar("_T")  # what `_read` parses a file into
 
 
 class CliError(Exception):
@@ -63,24 +63,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse: Callable[[str], _T]) -> _T:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: error: cannot read: {exc}") from exc
-
-
-def _read_parsed(path: str) -> ParsedNet:
-    text = _read_text(path)
     try:
-        return parse_net(text, sniff_format(text))
+        return parse(text)
     except NetParseError as exc:
         raise CliError(f"{path}: error: {exc}") from exc
 
 
+def _parse_any_net(text: str) -> ParsedNet:
+    return parse_net(text, sniff_format(text))
+
+
 def _load_checked(path: str) -> Net:
     """Parse and validate, echoing loader warnings to stderr."""
-    parsed = _read_parsed(path)
+    parsed = _read(path, _parse_any_net)
     for warning in parsed.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
     report = validate(parsed.net, parsed.duplicate_arcs)
@@ -97,7 +97,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _validate_file(path: str, args: argparse.Namespace) -> tuple[int, list[str]]:
-    parsed = _read_parsed(path)
+    parsed = _read(path, _parse_any_net)
     report = validate(parsed.net, parsed.duplicate_arcs)
     out = [f"{path}: warning: {warning}" for warning in parsed.warnings]
     out += [f"{path}: {line}" for line in report.lines()]
@@ -206,7 +206,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     if args.tree:
-        sys.stdout.write(export_forest_dot(parse_forest(_read_text(args.file))))
+        sys.stdout.write(export_forest_dot(_read(args.file, parse_forest)))
     else:
         sys.stdout.write(export_dot(_load_checked(args.file)))
     return EXIT_OK
@@ -304,9 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, RecursionError) as exc:
-        # Covers parse failures, invalid nets, out-of-range options, files
-        # that cannot be written, and trees nested too deeply to encode.
+    except (ValueError, OSError) as exc:
+        # Parse failures, invalid nets, out-of-range options, unwritable files.
         print(f"wfnet: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

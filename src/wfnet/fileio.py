@@ -15,13 +15,16 @@ places become outputs.  Everything else is skipped with a warning.
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence
 
 from .classes import BASIC_CLASS_NAMES
 from .nets import ID_PATTERN, Arc, Net, NodeId
-from .reduction import Internal, Leaf, RefinementTree
+from .reduction import Internal, Leaf, RefinementTree, _walk
 
 
 class NetParseError(ValueError):
@@ -318,49 +321,170 @@ def export_dot(net: Net) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tree_to_data(tree: RefinementTree) -> dict[str, object]:
-    if isinstance(tree, Leaf):
-        return {"node": tree.node, "classes": [], "children": []}
-    return {
-        "node": tree.node,
-        "classes": sorted(tree.classes),
-        "children": [_tree_to_data(child) for child in tree.children],
-    }
-
-
 def serialize_forest(forest: tuple[RefinementTree, ...]) -> str:
-    roots = sorted(forest, key=lambda t: t.first_leaf)
-    return json.dumps([_tree_to_data(t) for t in roots], indent=2, sort_keys=True) + "\n"
+    """The forest as a JSON list of {node, classes, children} objects.
+
+    The bytes are those of `json.dumps(..., indent=2, sort_keys=True)`,
+    written from one stack of pending text and (tree, indent) pairs so that
+    any depth is written; the size grows with the square of the depth.
+    """
+    chunks: list[str] = []
+    todo: list[str | tuple[RefinementTree, str]] = ["\n"]
+    _push_list(todo, sorted(forest, key=lambda t: t.first_leaf), "")
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            chunks.append(item)
+            continue
+        tree, pad = item
+        inner = pad + "  "
+        classes = f",\n{inner}  ".join(map(encode_basestring_ascii, sorted(tree.classes)))
+        classes = f"[\n{inner}  {classes}\n{inner}]" if classes else "[]"
+        node = encode_basestring_ascii(tree.node)
+        todo.append(f',\n{inner}"classes": {classes},\n{inner}"node": {node}\n{pad}}}')
+        _push_list(todo, tree.children, inner)
+        todo.append(f'{{\n{inner}"children": ')
+    return "".join(chunks)
 
 
-def _tree_from_data(data: object, seen: set[NodeId]) -> RefinementTree:
-    """One tree entry; `seen` collects the node ids of the whole forest."""
-    if not isinstance(data, dict) or set(data) != {"node", "classes", "children"}:
-        raise NetParseError("tree entries must be {node, classes, children} objects")
-    node = data["node"]
-    classes = data["classes"]
-    children = data["children"]
-    if not isinstance(node, str) or not isinstance(classes, list) or not isinstance(children, list):
-        raise NetParseError("malformed tree entry")
-    if not ID_PATTERN.match(node):
-        raise NetParseError(f"bad id {node!r} in tree")
-    if node in seen:
-        raise NetParseError(f"duplicate id {node!r} in tree")
-    seen.add(node)
-    if not children:
-        if classes:
-            raise NetParseError("leaf entries cannot carry classes")
-        return Leaf(node)
-    if not all(isinstance(c, str) for c in classes):
-        raise NetParseError("tree classes must be strings")
-    unknown = sorted(set(classes) - set(BASIC_CLASS_NAMES))
-    if unknown:
-        raise NetParseError(f"unknown class {unknown[0]!r} in tree")
-    return Internal(
-        node=node,
-        classes=frozenset(classes),
-        children=tuple(_tree_from_data(child, seen) for child in children),
-    )
+def _push_list(todo: list, trees: Sequence[RefinementTree], pad: str) -> None:
+    """Push `trees` as a JSON list closed at indent `pad`; what is pushed last is written first."""
+    if not trees:
+        todo.append("[]")
+        return
+    inner = pad + "  "
+    todo.append(f"\n{pad}]")
+    for k in range(len(trees) - 1, -1, -1):
+        todo.append((trees[k], inner))
+        todo.append(f",\n{inner}" if k else f"[\n{inner}")
+
+
+# One JSON token after optional whitespace: a structural character or quote,
+# or a run of anything else, which must be a whole scalar.
+_JSON_TOKEN = re.compile(r'[ \t\n\r]*([][{}:,"]|[^][{}:," \t\n\r]+)')
+
+
+def _decode_json(text: str) -> object:
+    """What `json.loads(text)` returns, read without recursion.
+
+    Raises ValueError wherever `json.loads` raises, though not with its
+    message.  Open containers are kept on a list; strings are decoded by
+    `json.decoder.scanstring` and bare scalars by `json.loads`, so only the
+    nesting is read here.
+    """
+    stack: list[list | dict] = []
+    keys: list[str] = []  # the key each open object is reading a value for
+    pos = 0
+
+    def token() -> str:
+        nonlocal pos
+        m = _JSON_TOKEN.match(text, pos)
+        if m is None:
+            raise ValueError("unexpected end of document")
+        pos = m.end()
+        return m.group(1)
+
+    def key() -> None:
+        nonlocal pos
+        if token() != '"':
+            raise ValueError("expected a key")
+        name, pos = scanstring(text, pos)
+        keys.append(name)
+        if token() != ":":
+            raise ValueError("expected ':'")
+
+    while True:
+        tok = token()
+        if tok == "[" or tok == "{":
+            close = _JSON_TOKEN.match(text, pos)
+            if close is not None and close.group(1) == ("]" if tok == "[" else "}"):
+                pos = close.end()
+                value: object = [] if tok == "[" else {}
+            else:
+                stack.append([] if tok == "[" else {})
+                if tok == "{":
+                    key()
+                continue
+        elif tok == '"':
+            value, pos = scanstring(text, pos)
+        elif tok in "]}:,":
+            raise ValueError(f"unexpected {tok!r}")
+        else:
+            value = json.loads(tok)
+        # Store the value, and close every container that ends after it.
+        while stack:
+            top = stack[-1]
+            if isinstance(top, list):
+                top.append(value)
+            else:
+                top[keys.pop()] = value
+            tok = token()
+            if tok == ",":
+                if isinstance(top, dict):
+                    key()
+                break
+            if tok != ("]" if isinstance(top, list) else "}"):
+                raise ValueError(f"unexpected {tok!r}")
+            value = stack.pop()
+        if not stack:
+            if _JSON_TOKEN.match(text, pos) is not None:
+                raise ValueError("extra data")
+            return value
+
+
+def _load_forest_json(text: str) -> object:
+    """The decoded tree file.  What `_decode_json` refuses goes to `_load_json`,
+    so a malformed file gets the same message as a malformed net file."""
+    try:
+        return _decode_json(text)
+    except ValueError:
+        return _load_json(text)
+
+
+def _tree_from_data(entries: list) -> tuple[RefinementTree, ...]:
+    """The trees of a decoded forest, built with a stack.
+
+    Entries are checked in preorder, a node before its children, so the
+    first bad entry in document order is the one reported.
+    """
+    seen: set[NodeId] = set()
+    built: list[RefinementTree] = []
+    # Entries still to check, and a (node, classes, child count) tuple for
+    # each internal node whose children are being built; JSON has no tuples.
+    todo: list = list(reversed(entries))
+    while todo:
+        data = todo.pop()
+        if isinstance(data, tuple):
+            node, classes, count = data
+            children = tuple(built[-count:])
+            del built[-count:]
+            built.append(Internal(node=node, classes=classes, children=children))
+            continue
+        if not isinstance(data, dict) or set(data) != {"node", "classes", "children"}:
+            raise NetParseError("tree entries must be {node, classes, children} objects")
+        node = data["node"]
+        classes = data["classes"]
+        children = data["children"]
+        if not isinstance(node, str) or not isinstance(classes, list) or not isinstance(children, list):
+            raise NetParseError("malformed tree entry")
+        if not ID_PATTERN.match(node):
+            raise NetParseError(f"bad id {node!r} in tree")
+        if node in seen:
+            raise NetParseError(f"duplicate id {node!r} in tree")
+        seen.add(node)
+        if not children:
+            if classes:
+                raise NetParseError("leaf entries cannot carry classes")
+            built.append(Leaf(node))
+            continue
+        if not all(isinstance(c, str) for c in classes):
+            raise NetParseError("tree classes must be strings")
+        unknown = sorted(set(classes) - set(BASIC_CLASS_NAMES))
+        if unknown:
+            raise NetParseError(f"unknown class {unknown[0]!r} in tree")
+        todo.append((node, frozenset(classes), len(children)))
+        todo.extend(reversed(children))
+    return tuple(built)
 
 
 def parse_forest(text: str) -> tuple[RefinementTree, ...]:
@@ -368,36 +492,34 @@ def parse_forest(text: str) -> tuple[RefinementTree, ...]:
 
     Node ids follow the net id syntax and occur once in the forest, and
     classes are basic class names, so nothing read here can break out of
-    the quoting of `export_forest_dot`.
+    the quoting of `export_forest_dot`.  Any depth is read.
     """
-    data = _load_json(text)
+    data = _load_forest_json(text)
     if not isinstance(data, list):
         raise NetParseError("top level must be a list of trees")
-    seen: set[NodeId] = set()
-    return tuple(_tree_from_data(entry, seen) for entry in data)
+    return _tree_from_data(data)
 
 
 def export_forest_dot(forest: tuple[RefinementTree, ...]) -> str:
     """The contraction history as a tree diagram, class sets on internal nodes.
 
-    Walks each tree in preorder with its own stack, so any depth renders;
-    the edge into a node is listed when the node is visited.
+    Nodes are listed in preorder, and the edge into a node when the node
+    is visited.
     """
     lines = ["digraph refinement {", "  rankdir=TB;"]
     edges: list[str] = []
-    todo: list[tuple[RefinementTree, NodeId | None]] = [
-        (root, None) for root in reversed(sorted(forest, key=lambda t: t.first_leaf))
-    ]
-    while todo:
-        tree, parent = todo.pop()
-        if parent is not None:
-            edges.append(f'  "{parent}" -> "{tree.node}";')
-        if isinstance(tree, Leaf):
-            lines.append(f'  "{tree.node}" [shape=none];')
-            continue
-        label = f"{tree.node}\\n{{{', '.join(sorted(tree.classes))}}}"
-        lines.append(f'  "{tree.node}" [shape=ellipse, label="{label}"];')
-        todo.extend((child, tree.node) for child in reversed(tree.children))
+    for root in sorted(forest, key=lambda t: t.first_leaf):
+        path: list[NodeId] = []  # the ids from the root down to the node's parent
+        for tree, depth in _walk(root):
+            del path[depth - 1:]
+            if path:
+                edges.append(f'  "{path[-1]}" -> "{tree.node}";')
+            path.append(tree.node)
+            if not tree.children:
+                lines.append(f'  "{tree.node}" [shape=none];')
+                continue
+            label = f"{tree.node}\\n{{{', '.join(sorted(tree.classes))}}}"
+            lines.append(f'  "{tree.node}" [shape=ellipse, label="{label}"];')
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .classes import classify
 from .nets import FreshIds, Net, NodeId, descendants, is_acyclic, require_wf
@@ -53,57 +53,61 @@ _CANDIDATE_VISIT_CAP = 400
 _GROW_CAP = 300
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """An original node that has not been contracted away below this point."""
+class _Tree:
+    """What both tree types share; every walk goes through `_walk`, so any depth works."""
+
+    def leaf_ids(self) -> frozenset[NodeId]:
+        return frozenset(t.node for t, _ in _walk(self) if not t.children)
+
+    def depth(self) -> int:
+        return max(depth for _, depth in _walk(self))
+
+    def _preorder(self) -> list[tuple[NodeId, frozenset[str], int]]:
+        return [(t.node, t.classes, len(t.children)) for t, _ in _walk(self)]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Tree) and self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf(_Tree):
+    """An original node, not contracted away below this point: no classes, no children."""
 
     node: NodeId
+    classes: ClassVar[frozenset[str]] = frozenset()
+    children: ClassVar[tuple[RefinementTree, ...]] = ()
 
     @property
     def first_leaf(self) -> NodeId:
         return self.node
 
-    def leaf_ids(self) -> frozenset[NodeId]:
-        return frozenset({self.node})
 
-    def depth(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Internal:
+@dataclass(frozen=True, eq=False)
+class Internal(_Tree):
     """One contraction event: `children` collapsed into `node`."""
 
     node: NodeId
     classes: frozenset[str]
-    children: tuple["RefinementTree", ...]
+    children: tuple[RefinementTree, ...]
+    first_leaf: NodeId = field(init=False, repr=False)
 
-    @property
-    def first_leaf(self) -> NodeId:
-        tree: RefinementTree = self
-        while isinstance(tree, Internal):
-            tree = tree.children[0]
-        return tree.node
-
-    def leaf_ids(self) -> frozenset[NodeId]:
-        return frozenset(leaf.node for leaf, _ in _walk(self))
-
-    def depth(self) -> int:
-        return max(depth for _, depth in _walk(self))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "first_leaf", self.children[0].first_leaf)
 
 
 RefinementTree = Leaf | Internal
 
 
-def _walk(tree: RefinementTree) -> Iterator[tuple[Leaf, int]]:
-    """Every leaf of `tree` with its depth, without recursion."""
+def _walk(tree: RefinementTree) -> Iterator[tuple[RefinementTree, int]]:
+    """Every node of `tree` in preorder with its depth, the root at 1, without recursion."""
     todo = [(tree, 1)]
     while todo:
         node, depth = todo.pop()
-        if isinstance(node, Internal):
-            todo.extend((child, depth + 1) for child in node.children)
-        else:
-            yield node, depth
+        yield node, depth
+        todo.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def expand(net: Net, i: NodeId, o: NodeId) -> frozenset[NodeId] | None:
@@ -399,14 +403,7 @@ class ReduceResult:
 
     @property
     def contractions(self) -> int:
-        count = 0
-        todo: list[RefinementTree] = list(self.forest)
-        while todo:
-            t = todo.pop()
-            if isinstance(t, Internal):
-                count += 1
-                todo.extend(t.children)
-        return count
+        return sum(1 for root in self.forest for t, _ in _walk(root) if t.children)
 
 
 def reduce_net(net: Net, seed: int | None = None, observer: Observer | None = None) -> ReduceResult:

@@ -8,6 +8,7 @@ an oracle and the implementation actually means something.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from wfnet import Net, validate
@@ -365,3 +366,33 @@ def reference_path_quotient(closure_before: dict, closure_after: dict, selection
             if not any(t in closure_before[o] for o in origin_pre for t in target_pre):
                 return False
     return True
+
+
+def reference_forest_json(forest) -> str:
+    """The tree file bytes written the old way: nested dicts through `json.dumps`.
+
+    Recursive on both sides, so only for forests a few hundred levels deep.
+    """
+
+    def to_data(tree):
+        if isinstance(tree, reduction.Leaf):
+            return {"node": tree.node, "classes": [], "children": []}
+        return {
+            "node": tree.node,
+            "classes": sorted(tree.classes),
+            "children": [to_data(child) for child in tree.children],
+        }
+
+    roots = sorted(forest, key=lambda t: t.first_leaf)
+    return json.dumps([to_data(t) for t in roots], indent=2, sort_keys=True) + "\n"
+
+
+def deep_tree(levels: int, bottom: str = "n0"):
+    """A refinement tree `levels` deep, built by hand: each level puts one
+    leaf beside the tree below it, and `bottom` is the deepest leaf."""
+    tree = reduction.Leaf(bottom)
+    for level in range(1, levels):
+        tree = reduction.Internal(
+            node=f"x{level}", classes=frozenset({"pAND"}), children=(tree, reduction.Leaf(f"n{level}"))
+        )
+    return tree

@@ -463,14 +463,19 @@ def nesting(levels: int) -> Net:
 
 
 class TestErrors:
-    def test_tree_too_deep_to_encode(self, capsys, tmp_path):
+    def test_600_level_tree_round_trips(self, capsys, tmp_path):
+        # Tree files grow with the square of the depth: 600 levels is 16.8 MB.
+        net = nesting(600)
         path = tmp_path / "deep.net"
-        path.write_text(serialize_net(nesting(600)), encoding="utf-8")
+        path.write_text(serialize_net(net), encoding="utf-8")
         tree = tmp_path / "tree.json"
         code, out, err = run(capsys, "reduce", str(path), "--tree", str(tree))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("wfnet: error: ") and "recursion" in err
+        assert (code, err) == (0, "")
+        assert len(parse_net(out).net) == 1
+        assert parse_forest(tree.read_text(encoding="utf-8")) == reduce_net(net).forest
+        code, out, err = run(capsys, "dot", "--tree", str(tree))
+        assert (code, err) == (0, "")
+        assert out.startswith("digraph refinement {")
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.net"
@@ -489,7 +494,7 @@ class TestErrors:
         code, out, err = run(capsys, "dot", "--tree", str(tree))
         assert code == 1
         assert out == ""
-        assert err.startswith("wfnet: error: ")
+        assert err.startswith(f"{tree}: error: ")
 
     @pytest.mark.parametrize("node, classes", [
         ('a" ]; x [label="pwn', []),
@@ -505,7 +510,15 @@ class TestErrors:
         code, out, err = run(capsys, "dot", "--tree", str(tree))
         assert code == 1
         assert out == ""
-        assert err.startswith("wfnet: error: ")
+        assert err.startswith(f"{tree}: error: ")
+
+
+    def test_tree_file_top_level_must_be_a_list(self, capsys, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text("{}", encoding="utf-8")
+        code, out, err = run(capsys, "dot", "--tree", str(tree))
+        assert (code, out) == (1, "")
+        assert err == f"{tree}: error: top level must be a list of trees\n"
 
 
 class TestRepeatedCalls:

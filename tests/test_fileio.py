@@ -8,13 +8,16 @@ import json
 import pytest
 
 from conftest import DATA_DIR, NETS
+from helpers import deep_tree, reference_forest_json
 from wfnet import (
+    GenerationRecipe,
     Internal,
     Leaf,
     Net,
     NetParseError,
     export_dot,
     export_forest_dot,
+    generate_andor_net,
     parse_forest,
     parse_net,
     reduce_net,
@@ -23,6 +26,7 @@ from wfnet import (
     sniff_format,
     validate,
 )
+from wfnet.fileio import _decode_json, _load_forest_json, _load_json
 
 MINIMAL = Net.of(places=["p"], transitions=[], arcs=[], inputs=["p"], outputs=["p"])
 
@@ -444,3 +448,120 @@ class TestForestDot:
         edges += ['  "x1" -> "n0";'] + [f'  "x{max(i, 1)}" -> "n{i}";' for i in range(1, levels)]
         expected = ["digraph refinement {", "  rankdir=TB;", *nodes, *edges, "}"]
         assert export_forest_dot((tree,)) == "\n".join(expected) + "\n"
+
+
+class TestForestBytes:
+    """`serialize_forest` writes the bytes `json.dumps(indent=2, sort_keys=True)` did."""
+
+    @pytest.mark.parametrize("stem", sorted(NETS))
+    def test_fixtures(self, stem, all_fixture_nets):
+        forest = reduce_net(all_fixture_nets[stem]).forest
+        assert serialize_forest(forest) == reference_forest_json(forest)
+
+    @pytest.mark.parametrize("recipe_seed", [4, 9])
+    @pytest.mark.parametrize("reduce_seed", [None, 1])
+    def test_generated(self, recipe_seed, reduce_seed):
+        net = generate_andor_net(GenerationRecipe(seed=recipe_seed, substitution_steps=40)).net
+        forest = reduce_net(net, seed=reduce_seed).forest
+        assert serialize_forest(forest) == reference_forest_json(forest)
+
+    def test_non_ascii_ids_are_escaped(self):
+        forest = (Internal(node="xé", classes=frozenset({"pAND", "tOR"}),
+                           children=(Leaf("ü\U0001f600"), Leaf('q"\\'))),)
+        text = serialize_forest(forest)
+        assert text.isascii()
+        assert text == reference_forest_json(forest)
+
+    def test_empty_forest(self):
+        assert serialize_forest(()) == reference_forest_json(()) == "[]\n"
+
+    def test_1000_levels_round_trip(self):
+        tree = deep_tree(1000)
+        text = serialize_forest((tree,))
+        assert parse_forest(text) == (tree,)
+        assert serialize_forest(parse_forest(text)) == text
+
+    def test_5000_levels_read_from_compact_text(self):
+        # Compact JSON keeps the text linear in depth; `serialize_forest`'s
+        # indented text would be quadratic.
+        levels = 5000
+
+        def leaf(n):
+            return f'{{"node": "{n}", "classes": [], "children": []}}'
+
+        opening = "".join(
+            f'{{"node": "x{level}", "classes": ["pAND"], "children": [' for level in range(levels - 1, 0, -1)
+        )
+        closing = "".join(f", {leaf(f'n{level}')}]}}" for level in range(1, levels))
+        text = "[" + opening + leaf("n0") + closing + "]"
+        assert parse_forest(text) == (deep_tree(levels),)
+
+
+def _short(text):
+    """A readable test id for a corpus document, however long."""
+    return repr(text) if len(text) <= 40 else f"{text[:12]!r}...{len(text)}chars"
+
+
+def _outcome(read, text):
+    """What `read(text)` gives: its value, or the type and message of its error."""
+    try:
+        return "value", repr(read(text))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestForestReader:
+    """The tree file reader gives what `json.loads` gives, or the same error."""
+
+    VALID = [
+        "[]", "{}", "[ ]", "{ }", '""', "0", "-0", "1", "-12.5e-3", "1E+2", "0.5",
+        "true", "false", "null", "NaN", "Infinity", "-Infinity", "1" * 40,
+        " [1, 2.5, -3e2, true, false, null] ", "\n\t[\r\n1\n]\n",
+        '{"a": 1, "a": 2}', '{"b": 1, "a": 2, "b": 3}', '{"": ""}',
+        '{"a": {"b": [[], {}, [{}]]}}', "[[[[]]]]", '[[], [[]], {"x": []}]',
+        r'["é😀", "\"", "\\/", "\/", "\b\f\n\r\t"]', r'"\ud800"',
+        '["é", "\U0001f600", "\u2028"]',
+        '[{"node": "a", "classes": ["pAND"], "children": [{"node": "b", "classes": [], "children": []}]}]',
+    ]
+    MALFORMED = [
+        "", " ", "[", "]", "{", "}", "[1,]", "[,1]", "[,]", "[1 2]", "[1,,2]",
+        '{"a" 1}', '{"a":}', '{"a":1,}', "{,}", "{1: 2}", "{'a': 1}", '{"a"}', '{"a":1 "b":2}',
+        "[01]", "[-01]", "[1.]", "[.5]", "[-]", "[+1]", "[1e]", "[1e+]", "[1.5e3.2]",
+        "[tru]", "[nulll]", "[NaNa]", "nan", "[Infinity1]", "[1true]", '["a"1]', '[1"a"]', '["a" "b"]',
+        '["a]', r'["\x"]', r'["\u12"]', '["a\nb"]', '["\t"]', "[1]x", "[1] [2]", "1 2",
+        '{"a":1}{"b":2}', "[}", "{]", "[[]", "[]]", '{"a": [}', "\ufeff[]", "[1\xa0]",
+        "\xa0[]", "[1,\u2028 2]", "\x00", "[\x0b]", "1" * 5000, "[" * 100_000,
+        "[" * 100_000 + "]" * 99_999, '{"a": ' * 50_000,
+    ]
+
+    @pytest.mark.parametrize("text", VALID + MALFORMED, ids=_short)
+    def test_same_value_or_error_as_json(self, text):
+        assert _outcome(_load_forest_json, text) == _outcome(_load_json, text)
+
+    @pytest.mark.parametrize("text", VALID + MALFORMED, ids=_short)
+    def test_decoder_raises_exactly_where_json_does(self, text):
+        try:
+            expected = "value", repr(json.loads(text))
+        except (ValueError, RecursionError):
+            expected = "error"
+        try:
+            got = "value", repr(_decode_json(text))
+        except ValueError:
+            got = "error"
+        assert got == expected
+
+    def test_malformed_corpus_is_malformed(self):
+        for text in self.MALFORMED:
+            with pytest.raises((ValueError, RecursionError)):
+                json.loads(text)
+
+    def test_deep_lists(self):
+        depth = 300_000
+        value = _decode_json("[" * depth + "]" * depth)
+        for _ in range(depth - 1):
+            (value,) = value
+        assert value == []
+
+    def test_deep_malformed_tree_keeps_the_json_message(self):
+        with pytest.raises(NetParseError, match="^nested too deeply to parse$"):
+            parse_forest("[" * 100_000)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import deep_tree
 from wfnet import (
     GenerationRecipe,
     Internal,
@@ -301,3 +302,24 @@ class TestDeepTrees:
         assert tree.first_leaf == "n0"
         assert tree.leaf_ids() == {f"n{i}" for i in range(5000)}
         assert tree.depth() == 5000
+
+    def test_equality_and_hash_at_5000_levels(self):
+        one, two = deep_tree(5000), deep_tree(5000)
+        assert one is not two
+        assert one == two
+        assert hash(one) == hash(two)
+        other = deep_tree(5000, bottom="m0")
+        assert one != other
+        assert other.first_leaf == "m0"
+
+    def test_equality_on_shallow_trees(self):
+        def tree(classes=("pAND",), leaves=("a", "b")):
+            return Internal(node="x", classes=frozenset(classes), children=tuple(map(Leaf, leaves)))
+
+        assert tree() == tree() and tree() is not tree()
+        assert len({tree(), tree()}) == 1
+        assert tree() != tree(classes=("tOR",))
+        assert tree() != tree(leaves=("b", "a"))
+        assert tree() != tree(leaves=("a",))
+        assert Leaf("a") == Leaf("a") and Leaf("a") != Leaf("b")
+        assert Leaf("a") != "a" and tree() != ("x",)
