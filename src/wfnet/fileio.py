@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .classes import BASIC_CLASS_NAMES
 from .nets import ID_PATTERN, Arc, Net, NodeId
-from .reduction import Internal, Leaf, RefinementTree, _walk
+from .reduction import RefinementTree, _walk, tree_from_preorder
 
 
 class NetParseError(ValueError):
@@ -433,58 +433,60 @@ def _decode_json(text: str) -> object:
 
 
 def _load_forest_json(text: str) -> object:
-    """The decoded tree file.  What `_decode_json` refuses goes to `_load_json`,
-    so a malformed file gets the same message as a malformed net file."""
+    """The decoded tree file, with the messages `_load_json` gives a net file.
+
+    Only a file nested too deeply for `json.loads` goes on to `_decode_json`;
+    what that refuses is reported as nested too deeply to parse.
+    """
+    try:
+        return _load_json(text)
+    except NetParseError as exc:
+        if not isinstance(exc.__cause__, RecursionError):
+            raise
+        too_deep = exc
     try:
         return _decode_json(text)
     except ValueError:
-        return _load_json(text)
+        raise too_deep
 
 
 def _tree_from_data(entries: list) -> tuple[RefinementTree, ...]:
-    """The trees of a decoded forest, built with a stack.
+    """The trees of a decoded forest, checked with a stack and built by
+    `tree_from_preorder`.
 
-    Entries are checked in preorder, a node before its children, so the
-    first bad entry in document order is the one reported.
+    Each tree's entries are checked in preorder, a node before its
+    children, so the first bad entry in document order is the one reported.
     """
     seen: set[NodeId] = set()
-    built: list[RefinementTree] = []
-    # Entries still to check, and a (node, classes, child count) tuple for
-    # each internal node whose children are being built; JSON has no tuples.
-    todo: list = list(reversed(entries))
-    while todo:
-        data = todo.pop()
-        if isinstance(data, tuple):
-            node, classes, count = data
-            children = tuple(built[-count:])
-            del built[-count:]
-            built.append(Internal(node=node, classes=classes, children=children))
-            continue
-        if not isinstance(data, dict) or set(data) != {"node", "classes", "children"}:
-            raise NetParseError("tree entries must be {node, classes, children} objects")
-        node = data["node"]
-        classes = data["classes"]
-        children = data["children"]
-        if not isinstance(node, str) or not isinstance(classes, list) or not isinstance(children, list):
-            raise NetParseError("malformed tree entry")
-        if not ID_PATTERN.match(node):
-            raise NetParseError(f"bad id {node!r} in tree")
-        if node in seen:
-            raise NetParseError(f"duplicate id {node!r} in tree")
-        seen.add(node)
-        if not children:
-            if classes:
+    trees: list[RefinementTree] = []
+    for root in entries:
+        preorder: list[tuple[NodeId, frozenset[str], int]] = []
+        todo = [root]
+        while todo:
+            data = todo.pop()
+            if not isinstance(data, dict) or set(data) != {"node", "classes", "children"}:
+                raise NetParseError("tree entries must be {node, classes, children} objects")
+            node = data["node"]
+            classes = data["classes"]
+            children = data["children"]
+            if not isinstance(node, str) or not isinstance(classes, list) or not isinstance(children, list):
+                raise NetParseError("malformed tree entry")
+            if not ID_PATTERN.match(node):
+                raise NetParseError(f"bad id {node!r} in tree")
+            if node in seen:
+                raise NetParseError(f"duplicate id {node!r} in tree")
+            seen.add(node)
+            if classes and not children:
                 raise NetParseError("leaf entries cannot carry classes")
-            built.append(Leaf(node))
-            continue
-        if not all(isinstance(c, str) for c in classes):
-            raise NetParseError("tree classes must be strings")
-        unknown = sorted(set(classes) - set(BASIC_CLASS_NAMES))
-        if unknown:
-            raise NetParseError(f"unknown class {unknown[0]!r} in tree")
-        todo.append((node, frozenset(classes), len(children)))
-        todo.extend(reversed(children))
-    return tuple(built)
+            if not all(isinstance(c, str) for c in classes):
+                raise NetParseError("tree classes must be strings")
+            unknown = sorted(set(classes) - set(BASIC_CLASS_NAMES))
+            if unknown:
+                raise NetParseError(f"unknown class {unknown[0]!r} in tree")
+            preorder.append((node, frozenset(classes), len(children)))
+            todo.extend(reversed(children))
+        trees.append(tree_from_preorder(preorder))
+    return tuple(trees)
 
 
 def parse_forest(text: str) -> tuple[RefinementTree, ...]:

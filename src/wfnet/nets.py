@@ -77,29 +77,19 @@ class Net:
 
     @cached_property
     def _pred(self) -> dict[NodeId, frozenset[NodeId]]:
-        acc: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for a, b in self.arcs:
-            acc.setdefault(b, set()).add(a)
-        return {n: frozenset(s) for n, s in acc.items()}
+        return _adjacency(self.nodes, ((b, a) for a, b in self.arcs))
 
     @cached_property
     def _succ(self) -> dict[NodeId, frozenset[NodeId]]:
-        acc: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for a, b in self.arcs:
-            acc.setdefault(a, set()).add(b)
-        return {n: frozenset(s) for n, s in acc.items()}
+        return _adjacency(self.nodes, self.arcs)
 
     def preset(self, node: NodeId) -> frozenset[NodeId]:
-        """All sources of arcs into `node`."""
-        if node not in self:
-            raise KeyError(node)
-        return self._pred.get(node, frozenset())
+        """All sources of arcs into `node`, for any node or arc end; KeyError for other names."""
+        return self._pred[node]
 
     def postset(self, node: NodeId) -> frozenset[NodeId]:
-        """All targets of arcs out of `node`."""
-        if node not in self:
-            raise KeyError(node)
-        return self._succ.get(node, frozenset())
+        """All targets of arcs out of `node`, for any node or arc end; KeyError for other names."""
+        return self._succ[node]
 
     @property
     def io_type(self) -> IoType:
@@ -119,6 +109,20 @@ class Net:
     def replace(self, **changes) -> Net:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
+
+
+def _adjacency(nodes: Iterable[NodeId], arcs: Iterable[Arc]) -> dict[NodeId, frozenset[NodeId]]:
+    """Each of `nodes` and each end of `arcs`, mapped to the targets of the arcs out of it."""
+    acc: dict[NodeId, set[NodeId]] = {n: set() for n in nodes}
+    # Membership tests rather than setdefault, which makes an empty set per
+    # call: building both maps this way costs what the one-sided maps did.
+    for a, b in arcs:
+        if a not in acc:
+            acc[a] = set()
+        if b not in acc:
+            acc[b] = set()
+        acc[a].add(b)
+    return {n: frozenset(s) for n, s in acc.items()}
 
 
 def _replace_nodes(
@@ -145,8 +149,8 @@ def _replace_nodes(
     rebuilds its adjacency from its arcs.
     """
     new = places | transitions
-    # Every node and arc target has a preset entry, every arc source a postset one.
-    clash = sorted(n for n in new if n in host._pred or n in host._succ)
+    # Every node and arc end has an entry in both maps.
+    clash = sorted(n for n in new if n in host._pred)
     if clash:
         raise ValueError(f"ids already in use: {', '.join(clash)}")
 
@@ -172,14 +176,9 @@ def _replace_nodes(
     added = set(arcs)
     added.update((a, h) for a in feeders for h in heads)
     added.update((t, b) for t in tails for b in fed)
-    grown_pred: dict[NodeId, set[NodeId]] = {n: set() for n in new}
-    grown_succ: dict[NodeId, set[NodeId]] = {n: set() for n in new}
-    for a, b in added:
-        grown_succ.setdefault(a, set()).add(b)
-        grown_pred.setdefault(b, set()).add(a)
-    for n, extra in grown_pred.items():
+    for n, extra in _adjacency(new, ((b, a) for a, b in added)).items():
         pred[n] = pred.get(n, frozenset()) | extra
-    for n, extra in grown_succ.items():
+    for n, extra in _adjacency(new, added).items():
         succ[n] = succ.get(n, frozenset()) | extra
 
     inputs = host.inputs

@@ -12,19 +12,21 @@ Three detectors look for a contractible selection at one focus node:
   none survives.
 
 `reduce_net` runs them from a worklist of focus nodes, with a capped
-expand walk.  `find_contractible` runs the same detectors uncapped over
-every node; it is the completeness pass, and reduction stops only when it
-finds nothing.  Neither grows a pair of nodes that a necessary condition
-for a hit, proved in `find_contractible`, rules out; the completeness pass
-takes its pairs from an index of that condition built once per scan, so
-proving a normal form irreducible costs far fewer walks than there are
-pairs.  Contracting whatever they find, over and over, terminates
-(every step removes at least one node) and is confluent up to isomorphism,
-so the normal form does not depend on the order policy.  Its node ids and
-refinement tree do: the worklist's caps and its id-order tie-break between
-self-loops on one place decide what is contracted next, so they are part
-of the output bytes.  A net is hierarchical in the AND-OR sense exactly
-when its normal form is a single node.
+candidate list and a capped expand walk.  `find_contractible` runs the
+same detectors uncapped over every node; it is the completeness pass, and
+reduction stops only when it finds nothing.  Neither grows a pair of nodes
+that a necessary condition for a hit, proved in `find_contractible`, rules
+out; the completeness pass takes its pairs from an index of that condition
+built once per scan, so proving a normal form irreducible costs far fewer
+walks than there are pairs.  Contracting whatever they find, over and
+over, terminates (every step removes at least one node) and is confluent
+up to isomorphism, so the normal form does not depend on the order policy.
+Its node ids and refinement tree do: the worklist's candidate cap, its
+id-order tie-break between self-loops on one place and the order in which
+`_grow` takes its pending nodes decide what is contracted next, so they
+are part of the output bytes; so does the grow cap on wide fan-outs.  A
+net is hierarchical in the AND-OR sense exactly when its normal form is a
+single node.
 
 `reduce_net` records every contraction in a refinement tree whose leaves
 are the original nodes, mirroring how such a net could have been generated
@@ -45,16 +47,26 @@ from .subnets import contract, is_well_nested, subnet_view
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
 Hit = tuple[frozenset[NodeId], frozenset[str]]
 
-# Caps on the worklist's expand walk.  The completeness pass has none, so
-# whether a net reduces never depends on them, but what is contracted
-# first does.
+# The worklist's caps on its candidates and on its expand walks.  The
+# completeness pass has neither, so whether a net reduces never depends on
+# them, but what is contracted first does.
+#
+# Decides bytes: lifting it changes the forests of 9 of the 18
+# `reduce-members` inputs and 2 of the 32 `andor-nonmembers` ones (seed 1),
+# and made an in-process `reduce-members` pass take 5.8-8.2 s instead of
+# 2.7-3.0 s.
 _CANDIDATE_CAP = 24
-_CANDIDATE_VISIT_CAP = 400
+# Decides bytes on wide fan-outs (`tests/helpers.py::fan(500)` reduces in
+# 253 contractions, 3 without it) and guards wide non-members: without it,
+# `chains(600)` took 12.7-22.0 s instead of 1.4-3.0 s with a side exit, and
+# 25.7-32.9 s instead of 2.8-3.8 s with cross arcs (single in-process runs
+# on 2 cores, Python 3.11).
 _GROW_CAP = 300
 
 
 class _Tree:
-    """What both tree types share; every walk goes through `_walk`, so any depth works."""
+    """What both tree types share; every walk goes through `_walk` or a stack
+    of its own, so any depth works, `repr`, pickling and copying included."""
 
     def leaf_ids(self) -> frozenset[NodeId]:
         return frozenset(t.node for t, _ in _walk(self) if not t.children)
@@ -71,8 +83,30 @@ class _Tree:
     def __hash__(self) -> int:
         return hash(tuple(self._preorder()))
 
+    def __reduce__(self) -> tuple:
+        return tree_from_preorder, (self._preorder(),)
 
-@dataclass(frozen=True, eq=False)
+    def __repr__(self) -> str:
+        """The text the dataclasses would give, written from one stack of pending text and trees."""
+        chunks: list[str] = []
+        todo: list[str | RefinementTree] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                chunks.append(item)
+            elif not item.children:
+                chunks.append(f"{type(item).__qualname__}(node={item.node!r})")
+            else:
+                chunks.append(f"{type(item).__qualname__}(node={item.node!r}, classes={item.classes!r}, children=(")
+                todo.append(",))" if len(item.children) == 1 else "))")
+                for k in range(len(item.children) - 1, -1, -1):
+                    todo.append(item.children[k])
+                    if k:
+                        todo.append(", ")
+        return "".join(chunks)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Leaf(_Tree):
     """An original node, not contracted away below this point: no classes, no children."""
 
@@ -85,7 +119,7 @@ class Leaf(_Tree):
         return self.node
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Internal(_Tree):
     """One contraction event: `children` collapsed into `node`."""
 
@@ -101,6 +135,24 @@ class Internal(_Tree):
 RefinementTree = Leaf | Internal
 
 
+def tree_from_preorder(entries: Sequence[tuple[NodeId, frozenset[str], int]]) -> RefinementTree:
+    """The one tree whose `_preorder()` is `entries`, built without recursion.
+
+    Each entry is (node, classes, child count); a node without children is a
+    leaf.  Children are built before their parent, last entry first.
+    """
+    built: list[RefinementTree] = []
+    for node, classes, count in reversed(entries):
+        if count:
+            children = tuple(reversed(built[-count:]))
+            del built[-count:]
+            built.append(Internal(node=node, classes=classes, children=children))
+        else:
+            built.append(Leaf(node))
+    (tree,) = built
+    return tree
+
+
 def _walk(tree: RefinementTree) -> Iterator[tuple[RefinementTree, int]]:
     """Every node of `tree` in preorder with its depth, the root at 1, without recursion."""
     todo = [(tree, 1)]
@@ -111,13 +163,20 @@ def _walk(tree: RefinementTree) -> Iterator[tuple[RefinementTree, int]]:
 
 
 def expand(net: Net, i: NodeId, o: NodeId) -> frozenset[NodeId] | None:
-    """Grow a contractible subnet with input i and output o, if one exists.
+    """Grow a contractible selection from i towards o, if the walk finds one.
 
     Starts from {i, o} and alternates two closures: a node whose full preset
     and interface membership match i's counts as a further input, anyone
     else pulls their predecessors in; dually on the output side.  Along the
     way the possible basic classes are pruned, and the grown selection is
     verified before being returned.
+
+    The selection holds i and o but need not have them as its interface:
+    under seed 2, the last contraction of the `por11` fixture grows from the
+    transitions t5 and t4 into the whole net, a place-interface view with
+    input ctr_0 and output p4.  None does not mean that no contractible
+    selection holds i and o: the walk takes its pending nodes by id, and in
+    another order it can end elsewhere.
     """
     if i == o:
         raise ValueError("need two distinct nodes")
@@ -144,6 +203,9 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
     o_is_output = o in net.outputs
 
     while pending and possible:
+        # The order is part of the bytes: in `por11` after its first
+        # contraction (seed None), `_grow(t6, t4)` is None taking the least
+        # id first, but an 8-node `11pOR` selection taking the greatest.
         n = min(pending)
         pending.remove(n)
 
@@ -364,23 +426,22 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> list[NodeId]:
     """The worklist's expand candidates for focus.
 
     The first `_CANDIDATE_CAP` same-type nodes reachable from focus, nearest
-    first and by rank within one distance, among the first
-    `_CANDIDATE_VISIT_CAP` nodes reached; of those, the ones the lemma of
+    first and by rank within one distance; of those, the ones the lemma of
     `find_contractible` rules out are dropped.  The lemma filters only after
     the list is cut, so it never changes which candidates the cap keeps.
+    Arcs alternate between places and transitions in every net the reducer
+    sees, so the walk steps two arcs at a time and every layer it keeps has
+    focus's type.
     """
-    same_type = net.is_place(focus)
     key = _rank_key(rank)
     candidates: list[NodeId] = []
     seen = {focus}
-    layer = [focus]
-    while layer and len(candidates) < _CANDIDATE_CAP and len(seen) < _CANDIDATE_VISIT_CAP:
-        reached: set[NodeId] = set()
-        for n in layer:
-            reached |= net.postset(n) - seen
-        layer = sorted(reached, key=key)
-        seen |= reached
-        candidates += [n for n in layer if net.is_place(n) == same_type]
+    layer = {focus}
+    while layer and len(candidates) < _CANDIDATE_CAP:
+        across = set().union(*map(net.postset, layer)) - seen
+        layer = set().union(*map(net.postset, across)) - seen
+        seen |= across | layer
+        candidates += sorted(layer, key=key)
     mine = _ends(net, focus, net.postset(focus))
     return [o for o in candidates[:_CANDIDATE_CAP] if not mine.isdisjoint(_ends(net, o, net.preset(o)))]
 
@@ -427,10 +488,14 @@ class _Reducer:
 
     Each focus node taken from the queue, in rank order, goes through the
     shared detectors: the loop test with ties broken by id, the parallel
-    test, and the capped expand walk.  When the queue runs dry,
-    `find_contractible` is the completeness pass; if it still finds a
-    contraction, every node is queued again.  The caps and the id tie-break
-    fix which selection is contracted next, and so the output bytes.
+    test, and the expand walk over `_nearby`'s candidates, each capped at
+    `_GROW_CAP` nodes.  When the queue runs dry, `find_contractible` is the
+    completeness pass; if it still finds a contraction, every node is
+    queued again.  The candidate cap, the id tie-break and `_grow`'s walk
+    order fix which selection is contracted next, and so the output bytes;
+    the grow cap does too on wide fan-outs.  Every node the queue is given
+    is a node of the current net: `_apply` queues only the fresh node and
+    its neighbours.
     """
 
     def __init__(self, net: Net, seed: int | None):
@@ -464,7 +529,7 @@ class _Reducer:
 
     def _enqueue(self, nodes: Iterable[NodeId]) -> None:
         for n in sorted(nodes, key=self.rank.__getitem__):
-            if n in self.net and n not in self.queued:
+            if n not in self.queued:
                 self.queue.append(n)
                 self.queued.add(n)
 
@@ -482,7 +547,8 @@ class _Reducer:
 
     def _try_focus(self, focus: NodeId) -> Hit | None:
         net = self.net
-        # An empty rank breaks loop ties by id, not by rank.
+        # An empty rank breaks loop ties by id, not by rank; ranking them
+        # instead changes the bytes (`test_loop_tie_break_is_pinned`).
         selection = _loop(net, focus, {}) or _parallel(net, focus, self.rank)
         if selection is not None:
             return _with_classes(net, selection)

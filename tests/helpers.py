@@ -396,3 +396,66 @@ def deep_tree(levels: int, bottom: str = "n0"):
             node=f"x{level}", classes=frozenset({"pAND"}), children=(tree, reduction.Leaf(f"n{level}"))
         )
     return tree
+
+
+def reference_nearby(net: Net, focus: str, rank: dict) -> list:
+    """`reduction._nearby` from BFS distances, testing every node's type.
+
+    Every node reachable from focus gets its distance; the same-type ones
+    are ordered by distance and then rank, the first `_CANDIDATE_CAP` are
+    kept, and those whose `_ends` keys miss focus's are dropped.
+    """
+    distance = {focus: 0}
+    frontier = [focus]
+    while frontier:
+        following = []
+        for n in frontier:
+            for m in net.postset(n):
+                if m not in distance:
+                    distance[m] = distance[n] + 1
+                    following.append(m)
+        frontier = following
+    key = reduction._rank_key(rank)
+    same_type = [n for n in distance if n != focus and net.is_place(n) == net.is_place(focus)]
+    kept = sorted(same_type, key=lambda n: (distance[n], key(n)))[: reduction._CANDIDATE_CAP]
+    mine = reduction._ends(net, focus, net.postset(focus))
+    return [o for o in kept if mine & reduction._ends(net, o, net.preset(o))]
+
+
+def fan(width: int) -> Net:
+    """`width` parallel transitions from p to q, between i -> a -> p and q -> b -> o."""
+    spokes = [f"t{k}" for k in range(width)]
+    return Net.of(
+        places=["i", "p", "q", "o"],
+        transitions=["a", "b", *spokes],
+        arcs=[("i", "a"), ("a", "p"), ("q", "b"), ("b", "o")]
+        + [("p", t) for t in spokes] + [(t, "q") for t in spokes],
+        inputs=["i"],
+        outputs=["o"],
+    )
+
+
+def chains(width: int, variant: str) -> Net:
+    """`width` chains p -> tk -> qk -> uk -> r between i -> a -> p and r -> b -> o.
+
+    `variant` adds an arc from the middle chain's place to b (side_exit), a
+    transition v from that place to o (second_exit), or arcs qk -> u(k+1)
+    for every seventh k (cross_arcs).  The first and the last do not reduce
+    to one node.
+    """
+    places = ["i", "p", "r", "o"] + [f"q{k}" for k in range(width)]
+    transitions = ["a", "b"] + [f"t{k}" for k in range(width)] + [f"u{k}" for k in range(width)]
+    arcs = [("i", "a"), ("a", "p"), ("r", "b"), ("b", "o")]
+    for k in range(width):
+        arcs += [("p", f"t{k}"), (f"t{k}", f"q{k}"), (f"q{k}", f"u{k}"), (f"u{k}", "r")]
+    middle = f"q{width // 2}"
+    if variant == "side_exit":
+        arcs.append((middle, "b"))
+    elif variant == "second_exit":
+        transitions.append("v")
+        arcs += [(middle, "v"), ("v", "o")]
+    elif variant == "cross_arcs":
+        arcs += [(f"q{k}", f"u{k + 1}") for k in range(0, width - 1, 7)]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return Net.of(places=places, transitions=transitions, arcs=arcs, inputs=["i"], outputs=["o"])

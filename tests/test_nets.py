@@ -58,6 +58,16 @@ class TestStructure:
         with pytest.raises(KeyError):
             pand.preset("ghost")
 
+    def test_preset_postset_of_a_dangling_arc_end(self):
+        net = Net.of(places=["p"], transitions=["t"], arcs=[("p", "t"), ("t", "q")])
+        assert net.preset("q") == {"t"}
+        assert net.postset("q") == frozenset()
+        assert net.preset("p") == frozenset() and net.postset("p") == {"t"}
+        for accessor in (net.preset, net.postset):
+            with pytest.raises(KeyError) as excinfo:
+                accessor("ghost")
+            assert excinfo.value.args == ("ghost",)
+
     def test_equality_ignores_name(self, pand):
         renamed = pand.replace(name="other")
         assert renamed == pand

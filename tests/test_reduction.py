@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import deep_tree
+from conftest import NETS, load_fixture
+from helpers import chains, deep_tree, fan, perturb, reference_nearby
+from wfnet import reduction
 from wfnet import (
     GenerationRecipe,
     Internal,
@@ -22,6 +28,8 @@ from wfnet import (
     isomorphic,
     node_order,
     reduce_net,
+    serialize_forest,
+    serialize_net,
     subnet_view,
     validate,
 )
@@ -38,6 +46,18 @@ def chain_host() -> Net:
 
 
 class TestExpand:
+    def test_selection_can_outgrow_its_ends(self, por11):
+        # Under seed 2, por11's last contraction grows the transitions t5
+        # and t4 into the whole net, whose view has place interface.
+        befores = []
+        reduce_net(por11, 2, observer=lambda before, *_: befores.append(before))
+        net = befores[-1]
+        selection = expand(net, "t5", "t4")
+        assert selection == net.nodes
+        view = subnet_view(net, selection)
+        assert view.is_wf
+        assert (view.net.io_type, view.net.inputs, view.net.outputs) == ("place", {"ctr_0"}, {"p4"})
+
     def test_grows_whole_pand(self, pand):
         grown = expand(pand, "p1", "p6")
         assert grown == pand.nodes
@@ -323,3 +343,93 @@ class TestDeepTrees:
         assert tree() != tree(leaves=("a",))
         assert Leaf("a") == Leaf("a") and Leaf("a") != Leaf("b")
         assert Leaf("a") != "a" and tree() != ("x",)
+
+    def test_repr_pickle_and_copy_at_5000_levels(self):
+        tree = deep_tree(5000)
+        text = repr(tree)
+        assert text.startswith("Internal(node='x4999', classes=frozenset({'pAND'}), children=(Internal(")
+        assert "children=(Leaf(node='n0'), Leaf(node='n1'))), Leaf(node='n2')))" in text
+        assert text.endswith("Leaf(node='n4998'))), Leaf(node='n4999')))")
+        assert text.count("Internal(") == 4999
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+
+    def test_repr_text_of_shallow_trees(self):
+        tree = Internal(node="a", classes=frozenset({"pAND"}), children=(Leaf("p"), Leaf("q")))
+        assert repr(tree) == (
+            "Internal(node='a', classes=frozenset({'pAND'}), children=(Leaf(node='p'), Leaf(node='q')))"
+        )
+        lone = Internal(node="a", classes=frozenset(), children=(Leaf("p"),))
+        assert repr(lone) == "Internal(node='a', classes=frozenset(), children=(Leaf(node='p'),))"
+        assert repr(Leaf("p")) == "Leaf(node='p')"
+        assert eval(repr(deep_tree(50)), {"Internal": Internal, "Leaf": Leaf}) == deep_tree(50)
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert pickle.loads(pickle.dumps(Leaf("p"))) == Leaf("p")
+
+
+def _rank(net: Net, seed: int | None = None) -> dict[str, int]:
+    return {n: k for k, n in enumerate(node_order(net, seed))}
+
+
+def _intermediate_nets(net: Net, seed: int | None) -> list[Net]:
+    """`net` and every net its reduction passes through."""
+    nets = [net]
+    reduce_net(net, seed, observer=lambda before, selection, fresh, after: nets.append(after))
+    return nets
+
+
+class TestNearby:
+    """The worklist's candidates against `helpers.reference_nearby`."""
+
+    @pytest.mark.parametrize("stem", sorted(NETS))
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_every_focus_of_every_fixture_step(self, stem, seed):
+        for net in _intermediate_nets(load_fixture(stem), seed):
+            rank = _rank(net, seed)
+            for focus in sorted(net.nodes):
+                assert reduction._nearby(net, focus, rank) == reference_nearby(net, focus, rank), focus
+
+    @pytest.mark.parametrize("recipe_seed, edit_seed", [(4, 1), (9, 2)])
+    def test_every_focus_of_every_edited_member_step(self, recipe_seed, edit_seed):
+        member = generate_andor_net(GenerationRecipe(seed=recipe_seed, substitution_steps=40)).net
+        edited = perturb(member, edit_seed)
+        assert edited is not None
+        nets = _intermediate_nets(edited, edit_seed)
+        assert len(nets[-1]) > 1
+        for net in nets:
+            rank = _rank(net, edit_seed)
+            for focus in sorted(net.nodes):
+                assert reduction._nearby(net, focus, rank) == reference_nearby(net, focus, rank), focus
+
+    def test_wide_fan_reaches_past_its_spokes(self):
+        net = fan(500)
+        assert reduction._nearby(net, "p", _rank(net)) == ["q", "o"]
+
+
+class TestWorklistCaps:
+    def test_grow_cap_decides_the_fan_reduction(self, monkeypatch):
+        assert reduce_net(fan(500)).contractions == 253
+        monkeypatch.setattr(reduction, "_GROW_CAP", 10**9)
+        assert reduce_net(fan(500)).contractions == 3
+
+
+# SHA-256 of serialize_forest + serialize_net of reduce_net (seed None).
+ADVERSARIAL_DIGESTS = {
+    "fan_100": "591b13fc6dc059f38ac219f7df2f71c5db69171c8b73200cf2ccf768bb6ffc03",
+    "fan_500": "a929efa6f64750f82a8fae1f966d30ff71b48632a0cbf3ef96bdb67dc7e52b3d",
+    "chains_300_side_exit": "c21a8548030b7cfc81825cd2818e30eab6bdd74349e1074ad9daa264f1b0de4d",
+    "chains_300_second_exit": "b6cedb530f69e2784b0fceeb88a630169a4595bee1f98c7ee9ab28c314730e8d",
+    "chains_300_cross_arcs": "1f4eeeb227e2db0f0a540165a6ea2a73eb5f5e31f6afc7a608c26497733c6d52",
+}
+
+
+def _adversarial(name: str) -> Net:
+    kind, width, *variant = name.split("_", 2)
+    return fan(int(width)) if kind == "fan" else chains(int(width), *variant)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_DIGESTS))
+def test_adversarial_reductions_are_pinned(name):
+    result = reduce_net(_adversarial(name))
+    text = serialize_forest(result.forest) + serialize_net(result.net)
+    assert hashlib.sha256(text.encode()).hexdigest() == ADVERSARIAL_DIGESTS[name]

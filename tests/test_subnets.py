@@ -246,7 +246,7 @@ class TestPatchedAdjacency:
                 selection & (after.preset(n) | after.postset(n)) for n in after.nodes
             )
             # Stale entries for removed members would not show through
-            # preset/postset, which reject unknown nodes.
+            # preset/postset of the remaining nodes.
             assert (after._pred, after._succ) == (rebuilt._pred, rebuilt._succ)
 
         reduce_net(_adjacency_case(name), order_seed, observer=check)
