@@ -40,8 +40,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
-from .classes import classify
-from .nets import FreshIds, Net, NodeId, descendants, is_acyclic, require_wf
+from .classes import BASIC_CLASS_NAMES, classify
+from .nets import FreshIds, Net, NodeId, descendants, require_wf
 from .subnets import contract, is_well_nested, subnet_view
 
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
@@ -243,21 +243,45 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
         if cap is not None and len(selection) > cap:
             return None
 
-    if not possible:
-        return None
-    view = subnet_view(net, selection)
-    if not is_acyclic(view.net):
-        possible -= {"pAND", "11tAND"}
-    if not possible:
-        return None
     # The per-node checks above can miss arcs that appeared after a node was
-    # analysed, so confirm the selection really is contractible.
+    # analysed, so `_hit` confirms the selection really is contractible.
+    return _hit(net, frozenset(selection), possible) if possible else None
+
+
+def _hit(
+    net: Net,
+    selection: frozenset[NodeId],
+    possible: frozenset[str] | set[str] = frozenset(BASIC_CLASS_NAMES),
+) -> Hit | None:
+    """`selection` with the basic classes of its view, if it may be contracted.
+
+    It may when its view is a workflow net in a basic class and the
+    selection is well nested.  `possible` holds the classes an expand walk
+    has not ruled out; a cyclic view, which can be neither pAND nor 11tAND,
+    is refused when nothing else is left in it.  The view is classified
+    once, and its acyclicity is read from that label.  Every detector's
+    selection is accepted here.
+
+    The loop and parallel selections come with all four classes, and these
+    checks never refuse them.  In a workflow net a loop {p, t} gives an
+    `11pOR` view: p is its one input and one output, and t its one
+    transition, wired to p both ways.  Twin places give a `pAND` view and
+    twin transitions a `tOR` view: each twin is an input and an output with
+    no arc inside the view.  All three are well nested, since a loop view
+    has one input and one output and twins share their outside wiring.  For
+    an expand walk's selection the checks are independent and none has a
+    side effect, so the order they run in decides nothing.
+    """
+    view = subnet_view(net, selection)
     if not view.is_wf:
         return None
-    classes = classify(view.net).basic_classes
+    label = classify(view.net)
+    if not label.acyclic and not possible - {"pAND", "11tAND"}:
+        return None
+    classes = label.basic_classes
     if not classes or not is_well_nested(net, selection):
         return None
-    return frozenset(selection), classes
+    return selection, classes
 
 
 def node_order(net: Net, seed: int | None = None) -> list[NodeId]:
@@ -275,6 +299,7 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     node, then the uncapped expand walk from every node, each phase in
     `order` (every node once), and returns the selection together with the
     basic classes of its view.  It finds a contraction whenever one exists.
+    Raises ValueError when `order` is not a permutation of the net's nodes.
 
     The expand walk grows a pair (focus, o) only when the following lemma
     allows it, so the pairs it skips are pairs `_grow` rejects; the
@@ -326,24 +351,25 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
+    if len(rank) != len(ordering) or rank.keys() != net.nodes:
+        raise ValueError("order must list every node of the net exactly once")
     places = [n for n in ordering if net.is_place(n)]
     for detect, foci in ((_loop, places), (_parallel, ordering)):
         for focus in foci:
             selection = detect(net, focus, rank)
             if selection is not None:
-                return _with_classes(net, selection)
+                return _hit(net, selection)
     index: dict[object, set[NodeId]] = {}
     for n in net.nodes:
         for end in _ends(net, n, net.preset(n)):
             index.setdefault(end, set()).add(n)
-    key = _rank_key(rank)
     for focus in ordering:
         pool = set().union(*(index.get(end, ()) for end in _ends(net, focus, net.postset(focus))))
         pool.discard(focus)
         if pool:
             pool &= descendants(net, focus)
         same_type = net.is_place(focus)
-        candidates = sorted((n for n in pool if net.is_place(n) == same_type), key=key)
+        candidates = sorted((n for n in pool if net.is_place(n) == same_type), key=rank.__getitem__)
         hit = _expand(net, focus, candidates, None)
         if hit is not None:
             return hit
@@ -373,12 +399,8 @@ def _ends(net: Net, n: NodeId, near: frozenset[NodeId]) -> set[object]:
 
 
 # The three detectors, shared by `find_contractible` and the worklist.  Each
-# looks at one focus node; `rank` orders the candidates, and nodes it does
-# not list come after those it does, by id.
-
-
-def _rank_key(rank: dict[NodeId, int]) -> Callable[[NodeId], tuple[int, NodeId]]:
-    return lambda n: (rank.get(n, len(rank)), n)
+# looks at one focus node; `rank`, which ranks every node, orders the
+# candidates.  `_hit` accepts what they select.
 
 
 def _is_self_loop(net: Net, t: NodeId) -> bool:
@@ -386,15 +408,16 @@ def _is_self_loop(net: Net, t: NodeId) -> bool:
     return len(pre) == 1 and pre == net.postset(t) and t not in net.inputs and t not in net.outputs
 
 
-def _loop(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[NodeId] | None:
+def _loop(net: Net, focus: NodeId, rank: dict[NodeId, int] | None = None) -> frozenset[NodeId] | None:
     """{p, t} for a place p and a pure self-loop transition t, either one the focus.
 
-    Of several self-loops on a place, the first by rank is taken.
+    Of several self-loops on a place, the first by rank is taken, or the
+    least id without a rank.
     """
     if not net.is_place(focus):
         return net.preset(focus) | {focus} if _is_self_loop(net, focus) else None
     loops = [t for t in net.postset(focus) if _is_self_loop(net, t)]
-    loop = min(loops, key=_rank_key(rank), default=None)
+    loop = min(loops, key=None if rank is None else rank.__getitem__, default=None)
     return None if loop is None else frozenset({focus, loop})
 
 
@@ -409,7 +432,7 @@ def _parallel(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[Nod
     # A twin shares the preset, so it follows any one of its producers.
     pool = net.postset(min(pre)) if pre else (net.places if net.is_place(focus) else net.transitions)
     twins = [n for n in pool if n != focus and wiring(n) == mine]
-    twin = min(twins, key=_rank_key(rank), default=None)
+    twin = min(twins, key=rank.__getitem__, default=None)
     return None if twin is None else frozenset({focus, twin})
 
 
@@ -433,7 +456,6 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> list[NodeId]:
     sees, so the walk steps two arcs at a time and every layer it keeps has
     focus's type.
     """
-    key = _rank_key(rank)
     candidates: list[NodeId] = []
     seen = {focus}
     layer = {focus}
@@ -441,13 +463,9 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> list[NodeId]:
         across = set().union(*map(net.postset, layer)) - seen
         layer = set().union(*map(net.postset, across)) - seen
         seen |= across | layer
-        candidates += sorted(layer, key=key)
+        candidates += sorted(layer, key=rank.__getitem__)
     mine = _ends(net, focus, net.postset(focus))
     return [o for o in candidates[:_CANDIDATE_CAP] if not mine.isdisjoint(_ends(net, o, net.preset(o)))]
-
-
-def _with_classes(net: Net, selection: frozenset[NodeId]) -> Hit:
-    return selection, classify(subnet_view(net, selection).net).basic_classes
 
 
 @dataclass(frozen=True)
@@ -547,11 +565,11 @@ class _Reducer:
 
     def _try_focus(self, focus: NodeId) -> Hit | None:
         net = self.net
-        # An empty rank breaks loop ties by id, not by rank; ranking them
-        # instead changes the bytes (`test_loop_tie_break_is_pinned`).
-        selection = _loop(net, focus, {}) or _parallel(net, focus, self.rank)
+        # Without a rank, loop ties are broken by id; ranking them instead
+        # changes the bytes (`test_loop_tie_break_is_pinned`).
+        selection = _loop(net, focus) or _parallel(net, focus, self.rank)
         if selection is not None:
-            return _with_classes(net, selection)
+            return _hit(net, selection)
         return _expand(net, focus, _nearby(net, focus, self.rank), _GROW_CAP)
 
     def _apply(self, hit: Hit, observer: Observer | None) -> None:

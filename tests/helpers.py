@@ -7,6 +7,7 @@ an oracle and the implementation actually means something.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -126,6 +127,17 @@ def _closure(start: set, adjacency: dict, allowed: frozenset) -> set:
     return seen
 
 
+@functools.lru_cache(maxsize=64)
+def _neighbours(arcs: frozenset) -> tuple[dict, dict]:
+    """Each node's producers and consumers under `arcs`."""
+    producers: dict = {}
+    consumers: dict = {}
+    for a, b in arcs:
+        producers.setdefault(b, set()).add(a)
+        consumers.setdefault(a, set()).add(b)
+    return producers, consumers
+
+
 def _contractible(state: _State, sel: frozenset):
     """(inputs, outputs, io type) of the induced view when `sel` may be
     contracted: at least two nodes, a workflow net in a basic class, with
@@ -133,8 +145,11 @@ def _contractible(state: _State, sel: frozenset):
     places, transitions, arcs, inputs, outputs = state
     if len(sel) < 2:
         return None
-    vin = {n for n in sel if n in inputs} | {b for a, b in arcs if a not in sel and b in sel}
-    vout = {n for n in sel if n in outputs} | {a for a, b in arcs if a in sel and b not in sel}
+    # A member is a view input when it is a net input or has a producer
+    # outside `sel`; dually for outputs.
+    producers, consumers = _neighbours(arcs)
+    vin = {n for n in sel if n in inputs or not sel.issuperset(producers.get(n, ()))}
+    vout = {n for n in sel if n in outputs or not sel.issuperset(consumers.get(n, ()))}
     if not vin or not vout:
         return None
     iface = vin | vout
@@ -262,6 +277,17 @@ def _search(state: _State, memo: dict) -> bool:
     return False
 
 
+def _state(net: Net) -> _State:
+    wrap = {n: frozenset({n}) for n in net.places | net.transitions}
+    return (
+        frozenset(wrap[p] for p in net.places),
+        frozenset(wrap[t] for t in net.transitions),
+        frozenset((wrap[a], wrap[b]) for a, b in net.arcs),
+        frozenset(wrap[n] for n in net.inputs),
+        frozenset(wrap[n] for n in net.outputs),
+    )
+
+
 def oracle_andor(net: Net) -> bool:
     """Does any sequence of contractions collapse `net` to one node?
 
@@ -270,15 +296,51 @@ def oracle_andor(net: Net) -> bool:
     code.  Exponential, hence the size guard.
     """
     assert len(net) <= 14, "oracle enumerates all subsets, keep nets small"
-    wrap = {n: frozenset({n}) for n in net.places | net.transitions}
-    state: _State = (
-        frozenset(wrap[p] for p in net.places),
-        frozenset(wrap[t] for t in net.transitions),
-        frozenset((wrap[a], wrap[b]) for a, b in net.arcs),
-        frozenset(wrap[n] for n in net.inputs),
-        frozenset(wrap[n] for n in net.outputs),
-    )
-    return _search(state, {})
+    return _search(_state(net), {})
+
+
+def contractible_subset(net: Net) -> frozenset | None:
+    """Some node subset of `net` that `_contractible` accepts, or None.
+
+    Tries every subset of at least two nodes, smallest first.
+    """
+    assert len(net) <= 14, "enumerates all subsets, keep nets small"
+    state = _state(net)
+    nodes = sorted(state[0] | state[1], key=sorted)
+    for size in range(2, len(nodes) + 1):
+        for combo in itertools.combinations(nodes, size):
+            sel = frozenset(combo)
+            if _contractible(state, sel) is not None:
+                return frozenset().union(*sel)
+    return None
+
+
+def random_wf_nets(count: int, seed: int) -> list[Net]:
+    """`count` seeded random workflow nets of 2-7 places and 2-7 transitions.
+
+    Each draw picks an arc density in 0.15-0.5, puts every place-transition
+    arc in either direction with that chance, and makes one or two nodes of
+    one type the inputs and one or two the outputs; draws that do not
+    validate are dropped.
+    """
+    rng = random.Random(seed)
+    nets: list[Net] = []
+    while len(nets) < count:
+        places = [f"p{k}" for k in range(rng.randint(2, 7))]
+        transitions = [f"t{k}" for k in range(rng.randint(2, 7))]
+        density = rng.uniform(0.15, 0.5)
+        arcs = [arc for p in places for t in transitions for arc in ((p, t), (t, p)) if rng.random() < density]
+        interface = places if rng.random() < 0.5 else transitions
+        net = Net.of(
+            places=places,
+            transitions=transitions,
+            arcs=arcs,
+            inputs=rng.sample(interface, rng.randint(1, 2)),
+            outputs=rng.sample(interface, rng.randint(1, 2)),
+        )
+        if validate(net).ok:
+            nets.append(net)
+    return nets
 
 
 def perturb(net: Net, seed: int, tries: int = 40) -> Net | None:
@@ -327,12 +389,11 @@ def reference_scan(net: Net, order=None):
         for focus in foci:
             selection = detect(net, focus, rank)
             if selection is not None:
-                return reduction._with_classes(net, selection)
-    key = reduction._rank_key(rank)
+                return reduction._hit(net, selection)
     for focus in ordering:
         same_type = net.is_place(focus)
         reach = descendants(net, focus) - {focus}
-        for o in sorted((n for n in reach if net.is_place(n) == same_type), key=key):
+        for o in sorted((n for n in reach if net.is_place(n) == same_type), key=rank.__getitem__):
             hit = reduction._grow(net, focus, o)
             if hit is not None:
                 return hit
@@ -415,9 +476,8 @@ def reference_nearby(net: Net, focus: str, rank: dict) -> list:
                     distance[m] = distance[n] + 1
                     following.append(m)
         frontier = following
-    key = reduction._rank_key(rank)
     same_type = [n for n in distance if n != focus and net.is_place(n) == net.is_place(focus)]
-    kept = sorted(same_type, key=lambda n: (distance[n], key(n)))[: reduction._CANDIDATE_CAP]
+    kept = sorted(same_type, key=lambda n: (distance[n], rank[n]))[: reduction._CANDIDATE_CAP]
     mine = reduction._ends(net, focus, net.postset(focus))
     return [o for o in kept if mine & reduction._ends(net, o, net.preset(o))]
 
@@ -432,6 +492,29 @@ def fan(width: int) -> Net:
         + [("p", t) for t in spokes] + [(t, "q") for t in spokes],
         inputs=["i"],
         outputs=["o"],
+    )
+
+
+def state_machine(size: int, seed: int) -> Net:
+    """A strongly connected state machine on places p0 ... p(size-1).
+
+    One transition rk per ring step pk -> p(k+1 mod size), and `size` chord
+    transitions ck, each between a seeded random pair of distinct places.
+    p0 is the only input and the only output, so the whole net is `11pOR`.
+    """
+    rng = random.Random(seed)
+    places = [f"p{k}" for k in range(size)]
+    arcs = []
+    for k in range(size):
+        arcs += [(f"p{k}", f"r{k}"), (f"r{k}", f"p{(k + 1) % size}")]
+        source, target = rng.sample(places, 2)
+        arcs += [(source, f"c{k}"), (f"c{k}", target)]
+    return Net.of(
+        places=places,
+        transitions=[f"{kind}{k}" for kind in "rc" for k in range(size)],
+        arcs=arcs,
+        inputs=["p0"],
+        outputs=["p0"],
     )
 
 

@@ -431,6 +431,14 @@ class TestPnmlInput:
         assert code == 0
         assert len(parse_net(out).net) == 1
 
+    def test_loader_warnings_go_to_stderr(self, capsys, tmp_path):
+        path = tmp_path / "net.pnml"
+        path.write_text(self.PNML.replace('<place id="a"/>', '<place id="a"><name/></place>'), encoding="utf-8")
+        code, out, err = run(capsys, "reduce", str(path))
+        assert code == 0
+        assert len(parse_net(out).net) == 1
+        assert err == f"{path}: warning: ignored PNML element <name>\n"
+
     def test_pages_nest_to_any_depth(self, capsys, tmp_path):
         depth = 5000
         path = tmp_path / "deep.pnml"

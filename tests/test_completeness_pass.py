@@ -4,7 +4,10 @@
 its docstring rules out.  `helpers.reference_scan` grows every pair; the
 two must return the same first hit, or both None, under every order.  The
 lemma itself is checked on every pair of a set of small nets: a pair that
-`_grow` contracts, capped or not, must have meeting `_ends` keys.
+`_grow` contracts, capped or not, must have meeting `_ends` keys.  On
+seeded random workflow nets the pass is checked against the subset oracle
+of `helpers`, which shares no code with it: no normal form may have a
+contractible subset, and `is_andor` must agree with `oracle_andor`.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import random
 import pytest
 
 from conftest import NETS
-from helpers import perturb, reference_scan
+from helpers import contractible_subset, oracle_andor, perturb, random_wf_nets, reference_scan
 from wfnet import (
     GenerationRecipe,
     Net,
     find_contractible,
     generate_andor_net,
+    is_andor,
     node_order,
     reduce_net,
     serialize_forest,
@@ -179,3 +183,20 @@ def test_lemma_admits_every_pair_that_grows(name):
 
 def test_every_lemma_net_but_the_dag_has_a_pair_that_grows():
     assert [name for name, net in sorted(LEMMA_NETS.items()) if not growing_pairs(net)] == ["dag"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_net_normal_forms_are_irreducible(seed):
+    """No node subset of a normal form passes the subset oracle's test.
+
+    Forty seeded random workflow nets per seed (`helpers.random_wf_nets`),
+    each reduced under seeds None and 1.  A net the reduction leaves as it
+    is has just been shown to have no contractible subset, so `oracle_andor`
+    could only say no; it runs on the nets that contract at least once.
+    """
+    for net in random_wf_nets(40, seed):
+        forms = {reduce_net(net, order_seed).net for order_seed in (None, 1)}
+        for form in forms:
+            assert len(form) == 1 or contractible_subset(form) is None, net
+        if forms != {net}:
+            assert is_andor(net) == oracle_andor(net), net

@@ -2,9 +2,13 @@
 
 Confluence only promises the same normal form up to renaming; which
 selection is contracted first, and so the fresh ids and the tree, is fixed
-by the worklist's caps, its loop tie-break and the phase order of
-`find_contractible`.  These digests pin that order, so changing any of
-them shows up here.
+by the worklist's caps and its loop tie-break, and, once the worklist finds
+nothing, by the first hit of `find_contractible`, the completeness pass.
+The reduction digests pin the worklist's choices; on every input but the
+state machine below the completeness pass finds nothing.  That one pins a
+reduction whose completeness pass hits, and `FIRST_HITS` pins the pass's
+first hit on each fixture under two orders.  Changing any of them shows up
+here.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import hashlib
 import pytest
 
 from conftest import NETS, load_fixture
+from helpers import state_machine
+from wfnet import reduction
 from wfnet import (
     GenerationRecipe,
     Net,
@@ -81,6 +87,12 @@ TWO_LOOPS = Net.of(
 )
 TWO_LOOPS_DIGEST = "222a21cc3bdb608a54d7245039ab8e895d966e45112005e9d473b0251a33084d"
 
+# With the grow cap at 10, the worklist gives up on every expand walk in
+# this 60-node strongly connected state machine and contracts only twins;
+# the completeness pass then contracts the 51 nodes left in one `11pOR`
+# hit, and its second scan finds nothing.
+STATE_MACHINE_DIGEST = "c19e3cbdfcf7ce708d57220f1c48970635b4a7f298f2cdf41a44035dba44bbc2"
+
 # find_contractible under the sorted and the reversed node order.
 FIRST_HITS = {
     "pand": [({"p2", "p3"}, {"pAND"}), ({"p6", "p7"}, {"pAND"})],
@@ -114,6 +126,20 @@ def test_capped_member_reductions_are_pinned(seed):
 
 def test_loop_tie_break_is_pinned():
     assert reduction_digest(TWO_LOOPS, 0) == TWO_LOOPS_DIGEST
+
+
+def test_completeness_pass_hit_is_pinned(monkeypatch):
+    scans = []
+
+    def scan(net, order=None):
+        hit = find_contractible(net, order)
+        scans.append(hit)
+        return hit
+
+    monkeypatch.setattr(reduction, "_GROW_CAP", 10)
+    monkeypatch.setattr(reduction, "find_contractible", scan)
+    assert reduction_digest(state_machine(20, 1), None) == STATE_MACHINE_DIGEST
+    assert [None if hit is None else (len(hit[0]), hit[1]) for hit in scans] == [(51, {"11pOR"}), None]
 
 
 @pytest.mark.parametrize("stem", sorted(NETS))

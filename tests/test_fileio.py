@@ -282,6 +282,32 @@ class TestPnml:
         parsed = parse_net(text, format="pnml")
         assert ("p1", "t1") in parsed.net.arcs
 
+    @pytest.mark.parametrize("inscription", [
+        "<inscription/>",
+        "<inscription><text/></inscription>",
+        "<inscription><text>two</text></inscription>",
+    ])
+    def test_unreadable_weight_warns(self, inscription):
+        text = PNML.replace(
+            '<arc id="a1" source="p1" target="t1"/>',
+            f'<arc id="a1" source="p1" target="t1">{inscription}</arc>',
+        )
+        parsed = parse_net(text, format="pnml")
+        assert "ignored PNML element <inscription>" in parsed.warnings
+        assert ("p1", "t1") in parsed.net.arcs
+
+    @pytest.mark.parametrize("old, new, tag", [
+        ('source="p1" target="t1"/>', 'source="p1" target="t1"><weight/></arc>', "weight"),
+        ('<page id="page0">', '<declaration/><page id="page0">', "declaration"),
+        ('<page id="page0">', '<page id="page0"><toolspecific tool="wfnet"><colour/></toolspecific>', "colour"),
+    ], ids=["arc-child", "net-element", "wfnet-toolspecific-child"])
+    def test_unknown_elements_warn(self, old, new, tag):
+        parsed = parse_net(PNML.replace(old, new), format="pnml")
+        assert parsed.warnings == tuple(
+            f"ignored PNML element <{name}>" for name in sorted({"graphics", "name", tag})
+        )
+        assert parsed.net.arcs == {("p1", "t1"), ("t1", "p2")}
+
     def test_duplicate_arcs_deduplicated(self):
         text = PNML.replace(
             '<arc id="a2" source="t1" target="p2"/>',

@@ -102,6 +102,7 @@ class TestValidate:
         report = validate(net)
         assert not report.ok
         assert report.bad_ids == ("not ok",)
+        assert "invalid node ids: 'not ok'" in report.lines()
 
     def test_dangling_arc(self):
         net = Net.of(places=["p"], transitions=["t"],
@@ -109,6 +110,7 @@ class TestValidate:
         report = validate(net)
         assert not report.ok
         assert ("t", "q") in report.dangling_arcs
+        assert "arcs with unknown endpoints: t->q" in report.lines()
 
     def test_nonbipartite_arc(self):
         net = Net.of(places=["p1", "p2"], transitions=[], arcs=[("p1", "p2")],
@@ -123,6 +125,7 @@ class TestValidate:
         report = validate(net)
         assert not report.ok
         assert report.unknown_interface == ("q",)
+        assert "interface nodes not in net: q" in report.lines()
 
     def test_empty_interface(self):
         net = Net.of(places=["p"], transitions=[], arcs=[], inputs=[], outputs=["p"])
@@ -164,6 +167,7 @@ class TestValidate:
         report = validate(net)
         assert not report.ok
         assert report.node_clashes == ("x",)
+        assert "both place and transition: x" in report.lines()
 
 
 class TestReachability:

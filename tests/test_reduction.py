@@ -129,6 +129,12 @@ class TestFindContractible:
             normal = reduce_net(net).net
             assert find_contractible(normal) is None
 
+    def test_order_must_list_every_node_once(self, pand):
+        order = sorted(pand.nodes)
+        for bad in (order[1:], order + order[:1], order[1:] + ["x"]):
+            with pytest.raises(ValueError, match="every node of the net exactly once"):
+                find_contractible(pand, bad)
+
     def test_respects_order(self, pand):
         # pand has two parallel pairs; the order decides which one is found.
         selection, _ = find_contractible(pand, sorted(pand.nodes))

@@ -84,6 +84,16 @@ class TestExplore:
         assert finishing == frozenset(graph.edges)
 
 
+    def test_can_reach_a_marking_off_the_places(self, pand):
+        graph = explore_reachable(pand, input_marking(pand, 1))
+        assert graph.can_reach(m(t1=1)) == frozenset()
+
+    @pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_tokens": 0}])
+    def test_bounds_below_one_are_refused(self, pand, bounds):
+        with pytest.raises(ValueError, match="exploration bounds must be at least 1"):
+            explore_reachable(pand, input_marking(pand, 1), **bounds)
+
+
 class TestKSound:
     def test_basic_fixtures_sound(self, pand, tand11, por11, tor):
         for net in (pand, tand11, por11, tor):
