@@ -247,12 +247,12 @@ def is_acyclic(net: Net) -> bool:
     return removed == len(indeg)
 
 
-def descendants_closure(net: Net) -> dict[NodeId, frozenset[NodeId]]:
-    """Reachability closure for every node at once.
+def _components(net: Net) -> tuple[dict[NodeId, int], list[list[NodeId]]]:
+    """The strongly connected components of `net` (iterative Kosaraju).
 
-    Condenses strongly connected components first (iterative Kosaraju) and
-    propagates reachable sets over the condensation, so repeated queries stay
-    cheap even on cyclic nets.
+    Returns each node's component number and each component's members.
+    Components come out in topological order of the condensation: an arc
+    between two components always leads to a higher number.
     """
     succ = net._succ
     pred = net._pred
@@ -293,9 +293,19 @@ def descendants_closure(net: Net) -> dict[NodeId, frozenset[NodeId]]:
                 if prv not in component:
                     component[prv] = comp
                     todo.append(prv)
+    return component, members
 
-    # Kosaraju emits components in reverse topological order of the
-    # condensation, so successors are always ready before their callers.
+
+def descendants_closure(net: Net) -> dict[NodeId, frozenset[NodeId]]:
+    """Reachability closure for every node at once.
+
+    Condenses strongly connected components first (`_components`) and
+    propagates reachable sets over the condensation, so repeated queries stay
+    cheap even on cyclic nets.
+    """
+    succ = net._succ
+    component, members = _components(net)
+    # Successor components have higher numbers, so they are ready first.
     comp_reach: list[set[NodeId]] = [set() for _ in members]
     for comp in range(len(members) - 1, -1, -1):
         acc = set(members[comp])
@@ -308,6 +318,29 @@ def descendants_closure(net: Net) -> dict[NodeId, frozenset[NodeId]]:
 
     frozen = [frozenset(s) for s in comp_reach]
     return {n: frozen[component[n]] for n in net.nodes}
+
+
+def reach_masks(net: Net) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
+    """The reachability closure of `descendants_closure` as bit masks.
+
+    Returns (bit, reach): `bit[n]` is the one bit of n's strongly connected
+    component, and `reach[n]` holds the bit of every component n reaches,
+    its own included, so m is reachable from n exactly when
+    `reach[n] & bit[m]`.  Which bit a component gets depends on set
+    iteration order; the answers do not.
+    """
+    succ = net._succ
+    component, members = _components(net)
+    comp_reach = [0] * len(members)
+    for comp in range(len(members) - 1, -1, -1):
+        acc = 1 << comp
+        for node in members[comp]:
+            for nxt in succ[node]:
+                acc |= comp_reach[component[nxt]]
+        comp_reach[comp] = acc
+    bit = {n: 1 << c for n, c in component.items()}
+    reach = {n: comp_reach[c] for n, c in component.items()}
+    return bit, reach
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,23 @@ Three detectors look for a contractible selection at one focus node:
   none survives.
 
 `reduce_net` runs them from a worklist of focus nodes, with a capped
-candidate list and a capped expand walk.  `find_contractible` runs the
-same detectors uncapped over every node; it is the completeness pass, and
-reduction stops only when it finds nothing.  Neither grows a pair of nodes
-that a necessary condition for a hit, proved in `find_contractible`, rules
-out; the completeness pass takes its pairs from an index of that condition
-built once per scan, so proving a normal form irreducible costs far fewer
-walks than there are pairs.  Contracting whatever they find, over and
-over, terminates (every step removes at least one node) and is confluent
-up to isomorphism, so the normal form does not depend on the order policy.
-Its node ids and refinement tree do: the worklist's candidate cap, its
-id-order tie-break between self-loops on one place and the order in which
-`_grow` takes its pending nodes decide what is contracted next, so they
-are part of the output bytes; so does the grow cap on wide fan-outs.  A
-net is hierarchical in the AND-OR sense exactly when its normal form is a
-single node.
+candidate stream, walked only as far as its candidates are taken, and a
+capped expand walk.  `find_contractible` runs the same detectors uncapped
+over every node; it is the completeness pass, and reduction stops only
+when it finds nothing.  Neither grows a pair of nodes that a necessary
+condition for a hit, proved in `find_contractible`, rules out; the
+completeness pass takes its pairs from an index of that condition and
+tests their reachability against one closure, each built once per scan,
+so proving a normal form irreducible costs no walk per focus.
+Contracting whatever they find, over and over, terminates (every step
+removes at least one node) and is confluent up to isomorphism, so the
+normal form does not depend on the order policy.  Its node ids and
+refinement tree do: the worklist's candidate cap, its id-order tie-break
+between self-loops on one place and the order in which `_grow` takes its
+pending nodes decide what is contracted next, so they are part of the
+output bytes; so does the grow cap on wide fan-outs.  A net is
+hierarchical in the AND-OR sense exactly when its normal form is a single
+node.
 
 `reduce_net` records every contraction in a refinement tree whose leaves
 are the original nodes, mirroring how such a net could have been generated
@@ -35,13 +37,14 @@ by substitutions.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .classes import BASIC_CLASS_NAMES, classify
-from .nets import FreshIds, Net, NodeId, descendants, require_wf
+from .nets import FreshIds, Net, NodeId, descendants, reach_masks, require_wf
 from .subnets import contract, is_well_nested, subnet_view
 
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
@@ -191,40 +194,51 @@ def expand(net: Net, i: NodeId, o: NodeId) -> frozenset[NodeId] | None:
 
 
 def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
-    """The grown selection with its basic classes, or None."""
-    possible = {"11pOR", "pAND"} if net.is_place(i) else {"11tAND", "tOR"}
+    """The grown selection with its basic classes, or None.
+
+    Pending nodes are taken least id first, from a heap: a node is pending
+    from when it joins the selection until it is taken, so it enters the
+    heap once, and the heap's least is the least pending id.
+    """
+    pred = net._pred
+    succ = net._succ
+    places = net.places
+    inputs = net.inputs
+    outputs = net.outputs
+    possible = {"11pOR", "pAND"} if i in places else {"11tAND", "tOR"}
     selection = {i, o}
     ins = {i}
     outs = {o}
-    pending = {i, o}
-    pre_i = net.preset(i)
-    post_o = net.postset(o)
-    i_is_input = i in net.inputs
-    o_is_output = o in net.outputs
+    pending = sorted(selection)
+    pre_i = pred[i]
+    post_o = succ[o]
+    i_is_input = i in inputs
+    o_is_output = o in outputs
 
     while pending and possible:
         # The order is part of the bytes: in `por11` after its first
         # contraction (seed None), `_grow(t6, t4)` is None taking the least
         # id first, but an 8-node `11pOR` selection taking the greatest.
-        n = min(pending)
-        pending.remove(n)
+        n = heapq.heappop(pending)
 
-        pre_n = net.preset(n)
-        if pre_n == pre_i and (n in net.inputs) == i_is_input:
+        pre_n = pred[n]
+        if pre_n == pre_i and (n in inputs) == i_is_input:
             if n not in ins:
                 possible -= {"11pOR", "11tAND"}
                 ins.add(n)
         else:
-            pending |= pre_n - selection
+            for m in pre_n - selection:
+                heapq.heappush(pending, m)
             selection |= pre_n
 
-        post_n = net.postset(n)
-        if post_n == post_o and (n in net.outputs) == o_is_output:
+        post_n = succ[n]
+        if post_n == post_o and (n in outputs) == o_is_output:
             if n not in outs:
                 possible -= {"11pOR", "11tAND"}
                 outs.add(n)
         else:
-            pending |= post_n - selection
+            for m in post_n - selection:
+                heapq.heappush(pending, m)
             selection |= post_n
 
         inner_pre = len(pre_n & selection)
@@ -235,7 +249,7 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
             or (n in outs and inner_post != 0)
             or (n not in outs and inner_post != 1)
         ):
-            if net.is_place(n):
+            if n in places:
                 possible -= {"pAND", "11tAND"}
             else:
                 possible -= {"tOR", "11pOR"}
@@ -347,7 +361,12 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     `out(o)`, and the other class likewise.  QED.
 
     The candidates of a focus come from one index of every node's
-    `_ends(n, pre(n))`, built once per scan in O(N + E).
+    `_ends(n, pre(n))`, built once per scan in O(N + E).  Whether a
+    candidate is reachable from the focus is one test against a
+    reachability closure, `nets.reach_masks`: one bit mask per node over the
+    strongly connected components, built once per scan at the first focus
+    whose pool is not empty.  The candidates still sort by rank, so the bit
+    each component gets decides nothing.
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
@@ -363,13 +382,19 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     for n in net.nodes:
         for end in _ends(net, n, net.preset(n)):
             index.setdefault(end, set()).add(n)
+    reach: dict[NodeId, int] | None = None
     for focus in ordering:
         pool = set().union(*(index.get(end, ()) for end in _ends(net, focus, net.postset(focus))))
         pool.discard(focus)
-        if pool:
-            pool &= descendants(net, focus)
+        if not pool:
+            continue
+        if reach is None:
+            bit, reach = reach_masks(net)
+        mask = reach[focus]
         same_type = net.is_place(focus)
-        candidates = sorted((n for n in pool if net.is_place(n) == same_type), key=rank.__getitem__)
+        candidates = sorted(
+            (n for n in pool if mask & bit[n] and net.is_place(n) == same_type), key=rank.__getitem__
+        )
         hit = _expand(net, focus, candidates, None)
         if hit is not None:
             return hit
@@ -445,8 +470,8 @@ def _expand(net: Net, focus: NodeId, candidates: Iterable[NodeId], cap: int | No
     return None
 
 
-def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> list[NodeId]:
-    """The worklist's expand candidates for focus.
+def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> Iterator[NodeId]:
+    """The worklist's expand candidates for focus, produced lazily.
 
     The first `_CANDIDATE_CAP` same-type nodes reachable from focus, nearest
     first and by rank within one distance; of those, the ones the lemma of
@@ -455,17 +480,25 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> list[NodeId]:
     Arcs alternate between places and transitions in every net the reducer
     sees, so the walk steps two arcs at a time and every layer it keeps has
     focus's type.
+
+    The walk and the lemma tests run only as far as the candidates are
+    taken, so `_expand` stopping at its first hit stops them too.  The
+    generator reads `net` as it goes, so it must be used up or dropped
+    before the net changes; `_try_focus` drops it at `_expand`'s return,
+    before the hit is contracted.
     """
-    candidates: list[NodeId] = []
+    mine = _ends(net, focus, net.postset(focus))
+    left = _CANDIDATE_CAP
     seen = {focus}
     layer = {focus}
-    while layer and len(candidates) < _CANDIDATE_CAP:
+    while layer and left > 0:
         across = set().union(*map(net.postset, layer)) - seen
         layer = set().union(*map(net.postset, across)) - seen
         seen |= across | layer
-        candidates += sorted(layer, key=rank.__getitem__)
-    mine = _ends(net, focus, net.postset(focus))
-    return [o for o in candidates[:_CANDIDATE_CAP] if not mine.isdisjoint(_ends(net, o, net.preset(o)))]
+        for o in sorted(layer, key=rank.__getitem__)[:left]:
+            if not mine.isdisjoint(_ends(net, o, net.preset(o))):
+                yield o
+        left -= len(layer)
 
 
 @dataclass(frozen=True)
@@ -507,13 +540,14 @@ class _Reducer:
     Each focus node taken from the queue, in rank order, goes through the
     shared detectors: the loop test with ties broken by id, the parallel
     test, and the expand walk over `_nearby`'s candidates, each capped at
-    `_GROW_CAP` nodes.  When the queue runs dry, `find_contractible` is the
-    completeness pass; if it still finds a contraction, every node is
-    queued again.  The candidate cap, the id tie-break and `_grow`'s walk
-    order fix which selection is contracted next, and so the output bytes;
-    the grow cap does too on wide fan-outs.  Every node the queue is given
-    is a node of the current net: `_apply` queues only the fresh node and
-    its neighbours.
+    `_GROW_CAP` nodes.  The candidates are a lazy stream, dropped at the
+    first hit before the net is contracted.  When the queue runs dry,
+    `find_contractible` is the completeness pass; if it still finds a
+    contraction, every node is queued again.  The candidate cap, the id
+    tie-break and `_grow`'s walk order fix which selection is contracted
+    next, and so the output bytes; the grow cap does too on wide fan-outs.
+    Every node the queue is given is a node of the current net: `_apply`
+    queues only the fresh node and its neighbours.
     """
 
     def __init__(self, net: Net, seed: int | None):

@@ -400,6 +400,64 @@ def reference_scan(net: Net, order=None):
     return None
 
 
+def reference_grow(net: Net, i: str, o: str, cap=None):
+    """`reduction._grow` taking each pending node with `min(pending)`.
+
+    The walk as it was written before pending nodes went on a heap: a set
+    of pending nodes, the least id taken first, and the same pruning and
+    final check through `reduction._hit`.
+    """
+    possible = {"11pOR", "pAND"} if net.is_place(i) else {"11tAND", "tOR"}
+    selection = {i, o}
+    ins = {i}
+    outs = {o}
+    pending = {i, o}
+    pre_i = net.preset(i)
+    post_o = net.postset(o)
+    i_is_input = i in net.inputs
+    o_is_output = o in net.outputs
+
+    while pending and possible:
+        n = min(pending)
+        pending.remove(n)
+
+        pre_n = net.preset(n)
+        if pre_n == pre_i and (n in net.inputs) == i_is_input:
+            if n not in ins:
+                possible -= {"11pOR", "11tAND"}
+                ins.add(n)
+        else:
+            pending |= pre_n - selection
+            selection |= pre_n
+
+        post_n = net.postset(n)
+        if post_n == post_o and (n in net.outputs) == o_is_output:
+            if n not in outs:
+                possible -= {"11pOR", "11tAND"}
+                outs.add(n)
+        else:
+            pending |= post_n - selection
+            selection |= post_n
+
+        inner_pre = len(pre_n & selection)
+        inner_post = len(post_n & selection)
+        if (
+            (n in ins and inner_pre != 0)
+            or (n not in ins and inner_pre != 1)
+            or (n in outs and inner_post != 0)
+            or (n not in outs and inner_post != 1)
+        ):
+            if net.is_place(n):
+                possible -= {"pAND", "11tAND"}
+            else:
+                possible -= {"tOR", "11pOR"}
+
+        if cap is not None and len(selection) > cap:
+            return None
+
+    return reduction._hit(net, frozenset(selection), possible) if possible else None
+
+
 def reference_path_quotient(closure_before: dict, closure_after: dict, selection, fresh) -> bool:
     """`subnets._is_path_quotient` written as two pairwise loops.
 

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from conftest import NETS
-from helpers import contractible_subset, oracle_andor, perturb, random_wf_nets, reference_scan
+from helpers import chains, contractible_subset, oracle_andor, perturb, random_wf_nets, reference_scan, state_machine
 from wfnet import (
     GenerationRecipe,
     Net,
@@ -30,7 +30,7 @@ from wfnet import (
     serialize_forest,
     serialize_net,
 )
-from wfnet.nets import descendants
+from wfnet.nets import descendants, reach_masks
 from wfnet.reduction import _GROW_CAP, _ends, _grow
 
 
@@ -70,6 +70,31 @@ def layered_dag(seed: int, layers: int, width: int = 3) -> Net:
         inputs=rows[0],
         outputs=rows[-1],
     )
+
+
+def mask_nets() -> dict[str, Net]:
+    nets = dict(NETS, state_machine=state_machine(20, 1), dag=layered_dag(0, layers=21))
+    for variant in ("side_exit", "second_exit", "cross_arcs"):
+        nets[f"chains_{variant}"] = chains(40, variant)
+    for k, net in enumerate(random_wf_nets(50, 7)):
+        nets[f"random{k}"] = net
+    return nets
+
+
+MASK_NETS = mask_nets()
+
+
+@pytest.mark.parametrize("name", sorted(MASK_NETS))
+def test_reach_masks_agree_with_descendants(name):
+    """The scan's reachability answers, one mask test per pair, against one walk per node.
+
+    `por11` has a self-loop, the state machine is one strongly connected
+    component, and the 21-layer DAG has one component per node.
+    """
+    net = MASK_NETS[name]
+    bit, reach = reach_masks(net)
+    for n in net.nodes:
+        assert {m for m in net.nodes if reach[n] & bit[m]} == descendants(net, n), n
 
 
 @pytest.mark.parametrize("seed", [4, 9])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NETS, load_fixture
-from helpers import chains, deep_tree, fan, perturb, reference_nearby
+from helpers import chains, deep_tree, fan, perturb, reference_grow, reference_nearby, state_machine
 from wfnet import reduction
 from wfnet import (
     GenerationRecipe,
@@ -20,6 +20,7 @@ from wfnet import (
     Net,
     classify,
     contract,
+    descendants,
     expand,
     find_contractible,
     generate_andor_net,
@@ -95,8 +96,6 @@ class TestExpand:
             for b in order
             if a != b and net.is_place(a) == net.is_place(b)
         ][:40]
-        from wfnet.nets import descendants
-
         for a, b in pairs:
             if b not in descendants(net, a):
                 continue
@@ -393,7 +392,7 @@ class TestNearby:
         for net in _intermediate_nets(load_fixture(stem), seed):
             rank = _rank(net, seed)
             for focus in sorted(net.nodes):
-                assert reduction._nearby(net, focus, rank) == reference_nearby(net, focus, rank), focus
+                assert list(reduction._nearby(net, focus, rank)) == reference_nearby(net, focus, rank), focus
 
     @pytest.mark.parametrize("recipe_seed, edit_seed", [(4, 1), (9, 2)])
     def test_every_focus_of_every_edited_member_step(self, recipe_seed, edit_seed):
@@ -405,11 +404,58 @@ class TestNearby:
         for net in nets:
             rank = _rank(net, edit_seed)
             for focus in sorted(net.nodes):
-                assert reduction._nearby(net, focus, rank) == reference_nearby(net, focus, rank), focus
+                assert list(reduction._nearby(net, focus, rank)) == reference_nearby(net, focus, rank), focus
 
     def test_wide_fan_reaches_past_its_spokes(self):
         net = fan(500)
-        assert reduction._nearby(net, "p", _rank(net)) == ["q", "o"]
+        assert list(reduction._nearby(net, "p", _rank(net))) == ["q", "o"]
+
+    def test_walk_stops_at_the_first_candidate_taken(self, monkeypatch):
+        size = 50
+        net = Net.of(
+            places=[f"p{k}" for k in range(size)],
+            transitions=[f"t{k}" for k in range(size - 1)],
+            arcs=[arc for k in range(size - 1) for arc in ((f"p{k}", f"t{k}"), (f"t{k}", f"p{k + 1}"))],
+            inputs=["p0"],
+            outputs=[f"p{size - 1}"],
+        )
+        ends = reduction._ends
+        calls = []
+
+        def counted(net, n, near):
+            calls.append(n)
+            return ends(net, n, near)
+
+        monkeypatch.setattr(reduction, "_ends", counted)
+        assert next(reduction._nearby(net, "p0", _rank(net))) == "p1"
+        assert calls == ["p0", "p1"]
+
+
+class TestGrowOrder:
+    """`_grow` takes pending nodes from a heap; `helpers.reference_grow` with `min(pending)`."""
+
+    @staticmethod
+    def assert_same_grows(net: Net) -> None:
+        for i in sorted(net.nodes):
+            for o in sorted(descendants(net, i) - {i}):
+                if net.is_place(o) == net.is_place(i):
+                    for cap in (reduction._GROW_CAP, None):
+                        assert reduction._grow(net, i, o, cap) == reference_grow(net, i, o, cap), (i, o, cap)
+
+    @pytest.mark.parametrize("stem", sorted(NETS))
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_every_pair_of_every_fixture_step(self, stem, seed):
+        for net in _intermediate_nets(load_fixture(stem), seed):
+            self.assert_same_grows(net)
+
+    def test_every_pair_of_a_state_machine(self):
+        self.assert_same_grows(state_machine(20, 1))
+
+    def test_every_pair_of_an_edited_member(self):
+        member = generate_andor_net(GenerationRecipe(seed=4, substitution_steps=40)).net
+        edited = perturb(member, 1)
+        assert edited is not None
+        self.assert_same_grows(edited)
 
 
 class TestWorklistCaps:
