@@ -1,10 +1,17 @@
-"""Immutable Petri net model with interface node sets.
+"""Petri nets with interface node sets: the frozen `Net` and a working graph.
 
 A net here is a bipartite directed graph of places and transitions together
 with nonempty input and output node sets.  When the interface is homogeneous
 (all places or all transitions) and every node lies on a path from some input
 to some output, the net is a workflow net; `validate` checks exactly that and
 reports every violation it finds instead of stopping at the first.
+
+`Net` is the immutable value that every public function takes and returns.
+`_Graph` is the one mutable representation, private to the reducer: built
+once from its input, edited in place one contraction at a time by
+`_replace_nodes`, and frozen into a `Net` only where a value is handed out.
+Both answer the same read methods (`_NetReads`), so the detectors, views and
+closures run unchanged on either.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import dataclasses
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Literal
+from typing import AbstractSet, Iterable, Iterator, Literal
 
 NodeId = str
 Arc = tuple[NodeId, NodeId]
@@ -22,8 +29,42 @@ IoType = Literal["place", "transition"]
 ID_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+class _NetReads:
+    """The read methods `Net` and `_Graph` share.
+
+    Both hold `places`, `transitions`, `inputs` and `outputs`, and the maps
+    `_pred` and `_succ`, in which every node and every arc end has an entry.
+    """
+
+    @property
+    def nodes(self) -> AbstractSet[NodeId]:
+        """A frozenset for a `Net`, a fresh set for a working graph."""
+        return self.places | self.transitions
+
+    def __contains__(self, node: NodeId) -> bool:
+        return node in self.places or node in self.transitions
+
+    def __len__(self) -> int:
+        return len(self.places) + len(self.transitions)
+
+    def is_place(self, node: NodeId) -> bool:
+        if node in self.places:
+            return True
+        if node in self.transitions:
+            return False
+        raise KeyError(node)
+
+    def preset(self, node: NodeId) -> frozenset[NodeId]:
+        """All sources of arcs into `node`, for any node or arc end; KeyError for other names."""
+        return self._pred[node]
+
+    def postset(self, node: NodeId) -> frozenset[NodeId]:
+        """All targets of arcs out of `node`, for any node or arc end; KeyError for other names."""
+        return self._succ[node]
+
+
 @dataclass(frozen=True)
-class Net:
+class Net(_NetReads):
     """A Petri net with designated input and output nodes.
 
     Instances are values: all fields are frozen sets and every operation on
@@ -58,23 +99,6 @@ class Net:
             name=name,
         )
 
-    @property
-    def nodes(self) -> frozenset[NodeId]:
-        return self.places | self.transitions
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self.places or node in self.transitions
-
-    def __len__(self) -> int:
-        return len(self.places) + len(self.transitions)
-
-    def is_place(self, node: NodeId) -> bool:
-        if node in self.places:
-            return True
-        if node in self.transitions:
-            return False
-        raise KeyError(node)
-
     @cached_property
     def _pred(self) -> dict[NodeId, frozenset[NodeId]]:
         return _adjacency(self.nodes, ((b, a) for a, b in self.arcs))
@@ -82,14 +106,6 @@ class Net:
     @cached_property
     def _succ(self) -> dict[NodeId, frozenset[NodeId]]:
         return _adjacency(self.nodes, self.arcs)
-
-    def preset(self, node: NodeId) -> frozenset[NodeId]:
-        """All sources of arcs into `node`, for any node or arc end; KeyError for other names."""
-        return self._pred[node]
-
-    def postset(self, node: NodeId) -> frozenset[NodeId]:
-        """All targets of arcs out of `node`, for any node or arc end; KeyError for other names."""
-        return self._succ[node]
 
     @property
     def io_type(self) -> IoType:
@@ -125,15 +141,55 @@ def _adjacency(nodes: Iterable[NodeId], arcs: Iterable[Arc]) -> dict[NodeId, fro
     return {n: frozenset(s) for n, s in acc.items()}
 
 
+class _Graph(_NetReads):
+    """A mutable working copy of a `Net`, private to the reducer.
+
+    Its node, interface and arc sets are sets, and its `_pred`/`_succ` maps
+    are dicts of frozensets that `_replace_nodes` edits in place.  It never
+    outlives the reduction that built it: a value leaves only through
+    `freeze`.  Anything that reads it lazily (`reduction._nearby`'s
+    generator) must be used up or dropped before it is edited.
+    """
+
+    def __init__(self, net: Net):
+        self.places = set(net.places)
+        self.transitions = set(net.transitions)
+        self.arcs = set(net.arcs)
+        self.inputs = set(net.inputs)
+        self.outputs = set(net.outputs)
+        self.name = net.name
+        # Copies of the host's maps, so that editing this graph never reaches it.
+        self._pred = dict(net._pred)
+        self._succ = dict(net._succ)
+
+    def freeze(self, last: bool = False) -> Net:
+        """The `Net` this graph holds now, sharing nothing mutable with it.
+
+        With `last` the graph is dropped right after, so its maps go to the
+        result as they are instead of being copied.
+        """
+        net = Net(
+            places=frozenset(self.places),
+            transitions=frozenset(self.transitions),
+            arcs=frozenset(self.arcs),
+            inputs=frozenset(self.inputs),
+            outputs=frozenset(self.outputs),
+            name=self.name,
+        )
+        net.__dict__["_pred"] = self._pred if last else dict(self._pred)
+        net.__dict__["_succ"] = self._succ if last else dict(self._succ)
+        return net
+
+
 def _replace_nodes(
-    host: Net,
+    host: Net | _Graph,
     old: frozenset[NodeId],
     places: frozenset[NodeId],
     transitions: frozenset[NodeId],
     arcs: Iterable[Arc],
     heads: frozenset[NodeId],
     tails: frozenset[NodeId],
-) -> Net:
+) -> Net | _Graph:
     """`host` with its nodes `old` replaced by new places and transitions.
 
     `arcs` are the arcs among the new nodes.  Arcs among `old` are dropped,
@@ -141,12 +197,12 @@ def _replace_nodes(
     and every arc that left it now leaves each of `tails`; host inputs in
     `old` give way to `heads`, host outputs to `tails`.  The caller checks
     that `old` are nodes of `host`; a new id that is already a node or an
-    arc end of `host` raises ValueError.
+    arc end of `host` raises ValueError, and leaves `host` as it was.
 
-    The result's arcs and adjacency maps are the host's, patched where
-    `old` was and at the nodes just outside it; no host arc outside the
-    presets and postsets of `old` is looked at, and the result never
-    rebuilds its adjacency from its arcs.
+    A `_Graph` host is edited in place and returned; the edit looks only at
+    `old`, its presets and postsets and the new nodes, so it costs
+    O(boundary).  A `Net` host is copied into a working graph, which gets
+    the same edit and is frozen into the result.
     """
     new = places | transitions
     # Every node and arc end has an entry in both maps.
@@ -154,8 +210,9 @@ def _replace_nodes(
     if clash:
         raise ValueError(f"ids already in use: {', '.join(clash)}")
 
-    pred = dict(host._pred)
-    succ = dict(host._succ)
+    graph = host if isinstance(host, _Graph) else _Graph(host)
+    pred = graph._pred
+    succ = graph._succ
     dropped: set[Arc] = set()
     feeders: set[NodeId] = set()
     fed: set[NodeId] = set()
@@ -181,23 +238,19 @@ def _replace_nodes(
     for n, extra in _adjacency(new, added).items():
         succ[n] = succ.get(n, frozenset()) | extra
 
-    inputs = host.inputs
-    if inputs & old:
-        inputs = (inputs - old) | heads
-    outputs = host.outputs
-    if outputs & old:
-        outputs = (outputs - old) | tails
-    result = Net(
-        places=(host.places - old) | places,
-        transitions=(host.transitions - old) | transitions,
-        arcs=(host.arcs - dropped) | added,
-        inputs=inputs,
-        outputs=outputs,
-        name=host.name,
-    )
-    result.__dict__["_pred"] = pred
-    result.__dict__["_succ"] = succ
-    return result
+    if not graph.inputs.isdisjoint(old):
+        graph.inputs -= old
+        graph.inputs |= heads
+    if not graph.outputs.isdisjoint(old):
+        graph.outputs -= old
+        graph.outputs |= tails
+    graph.places -= old
+    graph.places |= places
+    graph.transitions -= old
+    graph.transitions |= transitions
+    graph.arcs -= dropped
+    graph.arcs |= added
+    return graph if graph is host else graph.freeze(last=True)
 
 
 def reachable(net: Net, origin: NodeId, target: NodeId) -> bool:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .classes import BASIC_CLASS_NAMES, classify
-from .nets import FreshIds, Net, NodeId, descendants, reach_masks, require_wf
+from .nets import FreshIds, Net, NodeId, _Graph, descendants, reach_masks, require_wf
 from .subnets import contract, is_well_nested, subnet_view
 
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
@@ -523,7 +523,8 @@ def reduce_net(net: Net, seed: int | None = None, observer: Observer | None = No
 
     Deterministic for a fixed seed; different seeds reach the same normal
     form up to renaming of nodes.  `observer(before, selection, fresh,
-    after)` is invoked for every contraction, in order.
+    after)` is invoked for every contraction, in order; `before` and
+    `after` are `Net` values that later steps leave as they are.
     """
     require_wf(net)
     return _Reducer(net, seed).run(observer)
@@ -535,7 +536,14 @@ def is_andor(net: Net, seed: int | None = None) -> bool:
 
 
 class _Reducer:
-    """Worklist-driven reduction.
+    """Worklist-driven reduction on one working graph.
+
+    The reducer copies its input once into a `nets._Graph`, the one mutable
+    representation, and `contract` edits that graph in place, in
+    O(boundary) per step.  A frozen `Net` is made only for the result and,
+    when an observer is passed, once per step: each step's `after` is the
+    next step's `before`.  `_nearby`'s candidate stream reads the graph
+    lazily, so it is dropped before every contraction.
 
     Each focus node taken from the queue, in rank order, goes through the
     shared detectors: the loop test with ties broken by id, the parallel
@@ -551,7 +559,9 @@ class _Reducer:
     """
 
     def __init__(self, net: Net, seed: int | None):
-        self.net = net
+        self.graph = _Graph(net)
+        # The `Net` the graph holds now, or None once an edit has made it stale.
+        self.frozen: Net | None = net
         self.rank: dict[NodeId, int] = {n: k for k, n in enumerate(node_order(net, seed))}
         self.trees: dict[NodeId, RefinementTree] = {n: Leaf(n) for n in net.nodes}
         self.fresh_ids = FreshIds(net.nodes)
@@ -561,7 +571,7 @@ class _Reducer:
         while True:
             hit = self._fast_search()
             if hit is None:
-                hit = find_contractible(self.net, self._ordering())
+                hit = find_contractible(self.graph, self._ordering())
                 if hit is None:
                     break
                 # Queued before the contraction: its members are skipped when
@@ -570,10 +580,15 @@ class _Reducer:
                 self._requeue_all()
             self._apply(hit, observer)
         roots = sorted(self.trees.values(), key=lambda t: t.first_leaf)
-        return ReduceResult(net=self.net, forest=tuple(roots))
+        return ReduceResult(net=self._freeze(), forest=tuple(roots))
+
+    def _freeze(self) -> Net:
+        if self.frozen is None:
+            self.frozen = self.graph.freeze()
+        return self.frozen
 
     def _ordering(self) -> list[NodeId]:
-        return sorted(self.net.nodes, key=self.rank.__getitem__)
+        return sorted(self.graph.nodes, key=self.rank.__getitem__)
 
     def _requeue_all(self) -> None:
         self.queue = deque(self._ordering())
@@ -586,11 +601,11 @@ class _Reducer:
                 self.queued.add(n)
 
     def _fast_search(self) -> Hit | None:
-        net = self.net
+        graph = self.graph
         while self.queue:
             focus = self.queue.popleft()
             self.queued.discard(focus)
-            if focus not in net:
+            if focus not in graph:
                 continue
             hit = self._try_focus(focus)
             if hit is not None:
@@ -598,31 +613,32 @@ class _Reducer:
         return None
 
     def _try_focus(self, focus: NodeId) -> Hit | None:
-        net = self.net
+        graph = self.graph
         # Without a rank, loop ties are broken by id; ranking them instead
         # changes the bytes (`test_loop_tie_break_is_pinned`).
-        selection = _loop(net, focus) or _parallel(net, focus, self.rank)
+        selection = _loop(graph, focus) or _parallel(graph, focus, self.rank)
         if selection is not None:
-            return _hit(net, selection)
-        return _expand(net, focus, _nearby(net, focus, self.rank), _GROW_CAP)
+            return _hit(graph, selection)
+        return _expand(graph, focus, _nearby(graph, focus, self.rank), _GROW_CAP)
 
     def _apply(self, hit: Hit, observer: Observer | None) -> None:
         selection, classes = hit
         fresh = self.fresh_ids.take()
-        before = self.net
-        after = contract(before, selection, fresh)
+        before = self._freeze() if observer is not None else None
+        # The module global, so that a wrapper around `contract` sees every step.
+        graph = contract(self.graph, selection, fresh)
+        self.frozen = None
         if observer is not None:
-            observer(before, selection, fresh, after)
+            observer(before, selection, fresh, self._freeze())
 
         children = tuple(sorted((self.trees.pop(n) for n in selection), key=lambda t: t.first_leaf))
         self.trees[fresh] = Internal(node=fresh, classes=classes, children=children)
         self.rank[fresh] = len(self.rank)
-        self.net = after
 
         # The fresh node and everything whose wiring just changed deserve a
         # fresh look; so do their mates, since parallel twins may now exist.
-        boundary = after.preset(fresh) | after.postset(fresh)
+        boundary = graph.preset(fresh) | graph.postset(fresh)
         second = set()
         for n in boundary:
-            second |= after.preset(n) | after.postset(n)
+            second |= graph.preset(n) | graph.postset(n)
         self._enqueue({fresh} | boundary | second)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nets import Net, NodeId, _replace_nodes, descendants_closure
+from .nets import Net, NodeId, _Graph, _replace_nodes, descendants_closure
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,15 @@ def _interface(host: Net, members: frozenset[NodeId]) -> tuple[frozenset[NodeId]
 def subnet_view(host: Net, selection: Iterable[NodeId]) -> SubnetView:
     """Restrict `host` to `selection` with the induced interface.
 
-    Reads only the members' presets and postsets, not every host arc.
+    Reads only the members' presets and postsets, not every host arc.  The
+    host may be a `Net` or the reducer's working graph; the view's fields
+    are frozen sets either way.
     """
     members = _members(host, selection)
     inputs, outputs = _interface(host, members)
     restricted = Net(
-        places=host.places & members,
-        transitions=host.transitions & members,
+        places=members & host.places,
+        transitions=members & host.transitions,
         arcs=frozenset((a, b) for a in members for b in host.postset(a) & members),
         inputs=inputs,
         outputs=outputs,
@@ -92,15 +94,19 @@ def is_well_nested(host: Net, selection: Iterable[NodeId]) -> bool:
     )
 
 
-def contract(host: Net, selection: Iterable[NodeId], fresh: NodeId) -> Net:
+def contract(host: Net | _Graph, selection: Iterable[NodeId], fresh: NodeId) -> Net | _Graph:
     """Collapse a workflow-net view into the single node `fresh`.
 
     The fresh node takes the view's interface type, inherits every arc that
     crossed the selection boundary, and joins the host interface exactly
     when the selection touched it.
 
-    The result patches the host's arcs and adjacency maps; a `fresh` id
-    already in use in the host raises ValueError.
+    On a `Net` host this is a value operation: the host is copied into a
+    working graph, which is edited and frozen into the result.  On the
+    reducer's working graph (`nets._Graph`) the host itself is edited in
+    place, in O(boundary), and returned.  Either way the edit is
+    `nets._replace_nodes`.  A `fresh` id already in use in the host raises
+    ValueError and leaves the host as it was.
     """
     members = _members(host, selection)
     view_inputs, view_outputs = _interface(host, members)

@@ -15,8 +15,9 @@ from .nets import Net, NodeId, _replace_nodes
 def substitute(host: Net, node: NodeId, inner: Net) -> Net:
     """Replace `node` in `host` by `inner`, rewiring its neighbourhood.
 
-    The result patches the host's arcs and adjacency maps; an inner id
-    already in use in the host raises ValueError.
+    The host is left as it was: the result is a copy of it with the node
+    rewired by `nets._replace_nodes`, the edit `contract` makes.  An inner
+    id already in use in the host raises ValueError.
     """
     if node not in host:
         raise KeyError(node)

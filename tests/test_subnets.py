@@ -20,7 +20,7 @@ from wfnet import (
     substitute,
     validate,
 )
-from wfnet.nets import InvalidNetError, descendants_closure
+from wfnet.nets import InvalidNetError, _Graph, descendants_closure
 from wfnet.subnets import _is_path_quotient
 
 
@@ -65,6 +65,14 @@ class TestSubnetView:
     def test_trivial_flag(self, pand):
         assert subnet_view(pand, {"p1"}).trivial
         assert not subnet_view(pand, {"p2", "p3"}).trivial
+
+    @pytest.mark.parametrize("selection", [{"p2", "p3"}, {"p4", "p5", "t3"}, {"p1", "t1"}])
+    def test_view_of_a_working_graph_is_frozen(self, pand, selection):
+        view = subnet_view(_Graph(pand), selection)
+        assert view.net == subnet_view(pand, selection).net
+        for part in (view.net.places, view.net.transitions, view.net.arcs, view.net.inputs, view.net.outputs):
+            assert type(part) is frozenset
+        hash(view.net)
 
 
 class TestWellNested:
