@@ -4,7 +4,8 @@ Starting from a single node, each step picks a node at random and replaces
 it with a freshly generated net from one of the four basic shapes of
 matching interface type.  Every net produced this way collapses back to a
 single node under reduction, which makes the generator the workhorse for
-round-trip testing.
+round-trip testing.  The steps edit one working graph (`nets._Graph`) in
+place, and a `Net` is frozen from it once, at the end.
 
 All randomness flows through one `random.Random` seeded per recipe, and
 every choice is made over sorted sequences, so a recipe determines the
@@ -14,11 +15,12 @@ output net exactly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Literal
 
 from .classes import BASIC_CLASS_NAMES, classify
-from .nets import Arc, Net, NodeId, validate
+from .nets import Arc, Net, NodeId, _Graph, validate
 from .substitution import substitute
 
 BASIC_KINDS = BASIC_CLASS_NAMES
@@ -102,15 +104,21 @@ def generate_andor_net(recipe: GenerationRecipe) -> GeneratedNet:
         root = ids.transition()
         net = Net.of(places=(), transitions=[root], arcs=(), inputs=[root], outputs=[root])
 
+    graph = _Graph(net)
+    sorted_nodes = [root]
     steps: list[SubstitutionStep] = []
     for _ in range(recipe.substitution_steps):
-        node = rng.choice(sorted(net.nodes))
-        kinds = _PLACE_KINDS if net.is_place(node) else _TRANSITION_KINDS
+        node = rng.choice(sorted_nodes)
+        kinds = _PLACE_KINDS if graph.is_place(node) else _TRANSITION_KINDS
         kind = rng.choice(kinds)
         budget = rng.randint(4, recipe.max_basic_net_nodes)
         inner = generate_basic_net(kind, budget, rng, ids)
-        net = substitute(net, node, inner)
+        substitute(graph, node, inner)
+        del sorted_nodes[bisect_left(sorted_nodes, node)]
+        for n in inner.nodes:
+            insort(sorted_nodes, n)
         steps.append(SubstitutionStep(node=node, kind=kind, inner=inner))
+    net = graph.freeze()
     assert validate(net).ok
     return GeneratedNet(net=net, steps=tuple(steps))
 

@@ -7,11 +7,11 @@ to some output, the net is a workflow net; `validate` checks exactly that and
 reports every violation it finds instead of stopping at the first.
 
 `Net` is the immutable value that every public function takes and returns.
-`_Graph` is the one mutable representation, private to the reducer: built
-once from its input, edited in place one contraction at a time by
-`_replace_nodes`, and frozen into a `Net` only where a value is handed out.
-Both answer the same read methods (`_NetReads`), so the detectors, views and
-closures run unchanged on either.
+`_Graph` is the one mutable representation, private to the reducer and the
+generator: built once from its input, edited in place one contraction or
+substitution at a time by `_replace_nodes`, and frozen into a `Net` only
+where a value is handed out.  Both answer the same read methods
+(`_NetReads`), so the detectors, views and closures run unchanged on either.
 """
 
 from __future__ import annotations
@@ -142,19 +142,19 @@ def _adjacency(nodes: Iterable[NodeId], arcs: Iterable[Arc]) -> dict[NodeId, fro
 
 
 class _Graph(_NetReads):
-    """A mutable working copy of a `Net`, private to the reducer.
+    """A mutable working copy of a `Net`, private to the reducer and the generator.
 
-    Its node, interface and arc sets are sets, and its `_pred`/`_succ` maps
-    are dicts of frozensets that `_replace_nodes` edits in place.  It never
-    outlives the reduction that built it: a value leaves only through
-    `freeze`.  Anything that reads it lazily (`reduction._nearby`'s
-    generator) must be used up or dropped before it is edited.
+    Its node and interface sets are sets, and its `_pred`/`_succ` maps are
+    dicts of frozensets that `_replace_nodes` edits in place; the maps are
+    its only record of the arcs.  It never outlives the reduction or
+    generation that built it: a value leaves only through `freeze`.
+    Anything that reads it lazily (`reduction._nearby`'s generator) must be
+    used up or dropped before it is edited.
     """
 
     def __init__(self, net: Net):
         self.places = set(net.places)
         self.transitions = set(net.transitions)
-        self.arcs = set(net.arcs)
         self.inputs = set(net.inputs)
         self.outputs = set(net.outputs)
         self.name = net.name
@@ -162,22 +162,18 @@ class _Graph(_NetReads):
         self._pred = dict(net._pred)
         self._succ = dict(net._succ)
 
-    def freeze(self, last: bool = False) -> Net:
-        """The `Net` this graph holds now, sharing nothing mutable with it.
-
-        With `last` the graph is dropped right after, so its maps go to the
-        result as they are instead of being copied.
-        """
+    def freeze(self) -> Net:
+        """The `Net` this graph holds now: its arcs read off `_succ`, its maps copied."""
         net = Net(
             places=frozenset(self.places),
             transitions=frozenset(self.transitions),
-            arcs=frozenset(self.arcs),
+            arcs=frozenset((a, b) for a, post in self._succ.items() for b in post),
             inputs=frozenset(self.inputs),
             outputs=frozenset(self.outputs),
             name=self.name,
         )
-        net.__dict__["_pred"] = self._pred if last else dict(self._pred)
-        net.__dict__["_succ"] = self._succ if last else dict(self._succ)
+        net.__dict__["_pred"] = dict(self._pred)
+        net.__dict__["_succ"] = dict(self._succ)
         return net
 
 
@@ -199,10 +195,11 @@ def _replace_nodes(
     that `old` are nodes of `host`; a new id that is already a node or an
     arc end of `host` raises ValueError, and leaves `host` as it was.
 
-    A `_Graph` host is edited in place and returned; the edit looks only at
-    `old`, its presets and postsets and the new nodes, so it costs
-    O(boundary).  A `Net` host is copied into a working graph, which gets
-    the same edit and is frozen into the result.
+    A `_Graph` host is edited in place and returned; the edit rewrites only
+    the map entries of `old`, its presets and postsets and the new nodes,
+    so it costs O(boundary).  A `Net` host is copied into a working graph,
+    which gets the same edit and is frozen into the result, so that costs
+    O(net).
     """
     new = places | transitions
     # Every node and arc end has an entry in both maps.
@@ -213,16 +210,11 @@ def _replace_nodes(
     graph = host if isinstance(host, _Graph) else _Graph(host)
     pred = graph._pred
     succ = graph._succ
-    dropped: set[Arc] = set()
     feeders: set[NodeId] = set()
     fed: set[NodeId] = set()
     for n in old:
-        pre = pred.pop(n)
-        post = succ.pop(n)
-        dropped.update((a, n) for a in pre)
-        dropped.update((n, b) for b in post)
-        feeders |= pre
-        fed |= post
+        feeders |= pred.pop(n)
+        fed |= succ.pop(n)
     feeders -= old
     fed -= old
     for a in feeders:
@@ -248,9 +240,7 @@ def _replace_nodes(
     graph.places |= places
     graph.transitions -= old
     graph.transitions |= transitions
-    graph.arcs -= dropped
-    graph.arcs |= added
-    return graph if graph is host else graph.freeze(last=True)
+    return graph if graph is host else graph.freeze()
 
 
 def reachable(net: Net, origin: NodeId, target: NodeId) -> bool:

@@ -9,15 +9,15 @@ replaced node was itself an input or output.
 
 from __future__ import annotations
 
-from .nets import Net, NodeId, _replace_nodes
+from .nets import Net, NodeId, _Graph, _replace_nodes
 
 
-def substitute(host: Net, node: NodeId, inner: Net) -> Net:
+def substitute(host: Net | _Graph, node: NodeId, inner: Net) -> Net | _Graph:
     """Replace `node` in `host` by `inner`, rewiring its neighbourhood.
 
-    The host is left as it was: the result is a copy of it with the node
-    rewired by `nets._replace_nodes`, the edit `contract` makes.  An inner
-    id already in use in the host raises ValueError.
+    The edit is `nets._replace_nodes`, as in `contract`: a `Net` host is left
+    as it was and a copy is returned; a working graph (`nets._Graph`) is
+    edited in place and returned.  An inner id already in use raises ValueError.
     """
     if node not in host:
         raise KeyError(node)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from wfnet import (
     classify,
     generate_andor_net,
     generate_basic_net,
+    serialize_net,
     validate,
 )
 
@@ -105,3 +107,26 @@ class TestGenerateAndorNet:
         for step in generated.steps:
             assert validate(step.inner).ok
             assert step.kind in classify(step.inner).basic_classes
+
+
+class TestGenerationBytes:
+    """The bytes of every generated net and recorded step, pinned over a grid of recipes.
+
+    The digest moves if any step picks another node or kind, or if any `rng`
+    call moves, since every later choice depends on all earlier ones.
+    """
+
+    GENERATION_DIGEST = "3a9721e8e1953be89f190f050158741c5cce0d6945282db03229dce87870cf54"
+
+    def test_generation_digest(self):
+        digest = hashlib.sha256()
+        for root in ("place", "transition"):
+            for steps in (0, 1, 5, 30, 120):
+                for seed in range(40):
+                    recipe = GenerationRecipe(seed=seed, substitution_steps=steps, root_io_type=root)
+                    generated = generate_andor_net(recipe)
+                    digest.update(serialize_net(generated.net).encode())
+                    for step in generated.steps:
+                        digest.update(f"{step.node}\n{step.kind}\n".encode())
+                        digest.update(serialize_net(step.inner).encode())
+        assert digest.hexdigest() == self.GENERATION_DIGEST

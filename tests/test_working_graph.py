@@ -1,10 +1,12 @@
-"""The reducer's working graph: edited in place, frozen only at the API.
+"""The working graph: edited in place, frozen only at the API.
 
 `reduce_net` copies its input once into a `nets._Graph` and contracts it in
-place.  These tests pin what that must not change: every value handed out
-(observer arguments, the result, the hosts of `contract` and `substitute`)
-stays a frozen `Net` that later edits never reach, and a reduction without
-an observer builds no `Net` per contraction.
+place; `generate_andor_net` substitutes into one.  These tests pin what that
+must not change: every value handed out (observer arguments, the result,
+the hosts of `contract` and `substitute`) stays a frozen `Net` that later
+edits never reach, freezing a graph gives back the net it was built from,
+and neither a reduction without an observer nor a generation builds a
+`Net` per step.
 """
 
 from __future__ import annotations
@@ -144,3 +146,45 @@ class TestNoNetPerContraction:
         result = reduce_net(net)
         assert result.contractions > 1
         assert counts["builds"] == counts["views"] + 1
+
+
+class TestFreezeRoundTrip:
+    """A graph holds its arcs only in its maps; freezing it rebuilds the same net."""
+
+    ODD_NETS = {
+        "dangling": Net.of(places=["p"], transitions=["t"],
+                           arcs=[("p", "t"), ("t", "ghost"), ("stray", "p")],
+                           inputs=["p"], outputs=["t"]),
+        "self_arc": Net.of(places=["p"], arcs=[("p", "p")], inputs=["p"], outputs=["p"]),
+        "isolated": Net.of(places=["p", "lone"], transitions=["t"], arcs=[("p", "t")],
+                           inputs=["p"], outputs=["t"]),
+        "empty": Net.of(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NETS) + sorted(ODD_NETS))
+    def test_freeze_gives_back_the_net(self, name):
+        net = self.ODD_NETS[name] if name in self.ODD_NETS else load_fixture(name)
+        frozen = _Graph(net).freeze()
+        assert type(frozen) is Net
+        assert frozen == net and frozen.name == net.name
+        assert _maps(frozen) == _maps(_rebuilt(frozen)) == _maps(net)
+
+
+class TestNoNetPerGenerationStep:
+    """Generation substitutes into one working graph and freezes it once."""
+
+    def test_builds_are_steps_plus_two(self, monkeypatch):
+        steps = 50
+        builds = 0
+        init = Net.__init__
+
+        def counted_init(self, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Net, "__init__", counted_init)
+        generated = generate_andor_net(GenerationRecipe(seed=3, substitution_steps=steps))
+        assert len(generated.steps) == steps
+        # The root, one per basic net, and one freeze.
+        assert builds == steps + 2
