@@ -164,17 +164,43 @@ class _Graph(_NetReads):
 
     def freeze(self) -> Net:
         """The `Net` this graph holds now: its arcs read off `_succ`, its maps copied."""
-        net = Net(
-            places=frozenset(self.places),
-            transitions=frozenset(self.transitions),
-            arcs=frozenset((a, b) for a, post in self._succ.items() for b in post),
-            inputs=frozenset(self.inputs),
-            outputs=frozenset(self.outputs),
-            name=self.name,
+        return _net_from_maps(
+            frozenset(self.places),
+            frozenset(self.transitions),
+            frozenset(self.inputs),
+            frozenset(self.outputs),
+            dict(self._pred),
+            dict(self._succ),
+            self.name,
         )
-        net.__dict__["_pred"] = dict(self._pred)
-        net.__dict__["_succ"] = dict(self._succ)
-        return net
+
+
+def _net_from_maps(
+    places: frozenset[NodeId],
+    transitions: frozenset[NodeId],
+    inputs: frozenset[NodeId],
+    outputs: frozenset[NodeId],
+    pred: dict[NodeId, frozenset[NodeId]],
+    succ: dict[NodeId, frozenset[NodeId]],
+    name: str | None = None,
+) -> Net:
+    """A `Net` whose arcs are read off `succ`, seeded with `pred` and `succ` as its maps.
+
+    The maps must be the ones `_adjacency` would rebuild from those arcs, so
+    the `Net` is the same value either way; seeding them only skips the
+    rebuild.  The caller hands over the dicts and must not edit them.
+    """
+    net = Net(
+        places=places,
+        transitions=transitions,
+        arcs=frozenset((a, b) for a, post in succ.items() for b in post),
+        inputs=inputs,
+        outputs=outputs,
+        name=name,
+    )
+    net.__dict__["_pred"] = pred
+    net.__dict__["_succ"] = succ
+    return net
 
 
 def _replace_nodes(

@@ -222,7 +222,8 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
         n = heapq.heappop(pending)
 
         pre_n = pred[n]
-        if pre_n == pre_i and (n in inputs) == i_is_input:
+        joins_ins = pre_n == pre_i and (n in inputs) == i_is_input
+        if joins_ins:
             if n not in ins:
                 possible -= {"11pOR", "11tAND"}
                 ins.add(n)
@@ -232,7 +233,8 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
             selection |= pre_n
 
         post_n = succ[n]
-        if post_n == post_o and (n in outputs) == o_is_output:
+        joins_outs = post_n == post_o and (n in outputs) == o_is_output
+        if joins_outs:
             if n not in outs:
                 possible -= {"11pOR", "11tAND"}
                 outs.add(n)
@@ -241,8 +243,9 @@ def _grow(net: Net, i: NodeId, o: NodeId, cap: int | None = None) -> Hit | None:
                 heapq.heappush(pending, m)
             selection |= post_n
 
-        inner_pre = len(pre_n & selection)
-        inner_post = len(post_n & selection)
+        # A preset or postset just pulled in lies wholly in the selection.
+        inner_pre = len(pre_n & selection) if joins_ins else len(pre_n)
+        inner_post = len(post_n & selection) if joins_outs else len(post_n)
         if (
             (n in ins and inner_pre != 0)
             or (n not in ins and inner_pre != 1)
@@ -360,13 +363,17 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     So the one-in, one-out class survives only if it lies in `in(i)` and
     `out(o)`, and the other class likewise.  QED.
 
-    The candidates of a focus come from one index of every node's
-    `_ends(n, pre(n))`, built once per scan in O(N + E).  Whether a
-    candidate is reachable from the focus is one test against a
-    reachability closure, `nets.reach_masks`: one bit mask per node over the
-    strongly connected components, built once per scan at the first focus
-    whose pool is not empty.  The candidates still sort by rank, so the bit
-    each component gets decides nothing.
+    The scan applies the lemma through an index of `_ends` keys: the
+    candidates of a focus come from one index of every node's
+    `_ends(n, pre(n))`, built once per scan in O(N + E).  The worklist
+    (`_nearby`) applies it by direct comparison on the adjacency maps
+    (`_lemma_allows`) and builds no key sets; `reference_nearby` in the
+    tests and a test over every reachable same-type pair pin that the two
+    agree.  Whether a candidate is reachable from the focus is one test
+    against a reachability closure, `nets.reach_masks`: one bit mask per
+    node over the strongly connected components, built once per scan at
+    the first focus whose pool is not empty.  The candidates still sort by
+    rank, so the bit each component gets decides nothing.
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
@@ -412,15 +419,62 @@ def _ends(net: Net, n: NodeId, near: frozenset[NodeId]) -> set[object]:
     ends: set[object] = {("post", net.postset(n), n in net.outputs), ("pre", net.preset(n), n in net.inputs)}
     if len(near) == 1:
         ends.add("pAND" if place else "tOR")
-    # A loop rather than all() over a generator: this runs for every
-    # worklist candidate, and the loop costs less per neighbour.
-    if near:
-        for m in near:
-            if len(net.preset(m)) != 1 or len(net.postset(m)) != 1:
-                break
-        else:
-            ends.add("11pOR" if place else "11tAND")
+    if _one_in_one_out(net, near):
+        ends.add("11pOR" if place else "11tAND")
     return ends
+
+
+def _one_in_one_out(net: Net, near: frozenset[NodeId]) -> bool:
+    """Is `near` non-empty with one predecessor and one successor at each of its nodes?"""
+    if not near:
+        return False
+    pred = net._pred
+    succ = net._succ
+    # A loop rather than all() over a generator: this runs for worklist
+    # candidates, and the loop costs less per neighbour.
+    for m in near:
+        if len(pred[m]) != 1 or len(succ[m]) != 1:
+            return False
+    return True
+
+
+# Focus's side of the lemma, read once per focus by `_nearby`: its postset
+# and output membership, its preset and input membership, |post| == 1, and
+# whether its postset is one-in, one-out (`in(focus)` of the lemma).
+_Side = tuple[frozenset[NodeId], bool, frozenset[NodeId], bool, bool, bool]
+
+
+def _focus_side(net: Net, focus: NodeId) -> _Side:
+    post = net.postset(focus)
+    return (
+        post,
+        focus in net.outputs,
+        net.preset(focus),
+        focus in net.inputs,
+        len(post) == 1,
+        _one_in_one_out(net, post),
+    )
+
+
+def _lemma_allows(net: Net, side: _Side, o: NodeId) -> bool:
+    """Do `_ends(focus, post(focus))` and `_ends(o, pre(o))` share a key?
+
+    The lemma of `find_contractible` by direct comparison, for a focus of
+    o's type whose side is `side`: cheapest test first, and no key set is
+    built.
+    """
+    post, is_output, pre, is_input, single, simple = side
+    pre_o = net._pred[o]
+    return (
+        # (a), the class that is not one-in, one-out.
+        (single and len(pre_o) == 1)
+        # (c)
+        or (pre_o == pre and (o in net.inputs) == is_input)
+        # (b)
+        or (net._succ[o] == post and (o in net.outputs) == is_output)
+        # (a), the one-in, one-out class.
+        or (simple and _one_in_one_out(net, pre_o))
+    )
 
 
 # The three detectors, shared by `find_contractible` and the worklist.  Each
@@ -447,16 +501,33 @@ def _loop(net: Net, focus: NodeId, rank: dict[NodeId, int] | None = None) -> fro
 
 
 def _parallel(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> frozenset[NodeId] | None:
-    """{focus, n} for the first n by rank with focus's type, wiring and interface membership."""
+    """{focus, n} for the first n by rank with focus's type, wiring and interface membership.
 
-    def wiring(n: NodeId) -> tuple:
-        return net.is_place(n), net.preset(n), net.postset(n), n in net.inputs, n in net.outputs
-
-    mine = wiring(focus)
-    pre = net.preset(focus)
+    Each pool node is compared on its preset, then its postset, then its
+    memberships, and dropped at the first mismatch.
+    """
+    pred = net._pred
+    succ = net._succ
+    places = net.places
+    inputs = net.inputs
+    outputs = net.outputs
+    pre = pred[focus]
+    post = succ[focus]
+    place = focus in places
+    is_input = focus in inputs
+    is_output = focus in outputs
     # A twin shares the preset, so it follows any one of its producers.
-    pool = net.postset(min(pre)) if pre else (net.places if net.is_place(focus) else net.transitions)
-    twins = [n for n in pool if n != focus and wiring(n) == mine]
+    pool = succ[min(pre)] if pre else (places if place else net.transitions)
+    twins = [
+        n
+        for n in pool
+        if n != focus
+        and pred[n] == pre
+        and succ[n] == post
+        and (n in inputs) == is_input
+        and (n in outputs) == is_output
+        and net.is_place(n) == place
+    ]
     twin = min(twins, key=rank.__getitem__, default=None)
     return None if twin is None else frozenset({focus, twin})
 
@@ -481,22 +552,26 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> Iterator[NodeId
     sees, so the walk steps two arcs at a time and every layer it keeps has
     focus's type.
 
-    The walk and the lemma tests run only as far as the candidates are
-    taken, so `_expand` stopping at its first hit stops them too.  The
+    Focus's side of the lemma is read once, and each candidate is tested
+    against it by `_lemma_allows`, which compares the adjacency maps
+    directly instead of building `_ends` key sets.  The walk and the lemma
+    tests run only as far as the candidates are taken, so `_expand`
+    stopping at its first hit stops them too.  The
     generator reads `net` as it goes, so it must be used up or dropped
     before the net changes; `_try_focus` drops it at `_expand`'s return,
     before the hit is contracted.
     """
-    mine = _ends(net, focus, net.postset(focus))
+    side = _focus_side(net, focus)
+    successors = net._succ.__getitem__
     left = _CANDIDATE_CAP
     seen = {focus}
     layer = {focus}
     while layer and left > 0:
-        across = set().union(*map(net.postset, layer)) - seen
-        layer = set().union(*map(net.postset, across)) - seen
+        across = set().union(*map(successors, layer)) - seen
+        layer = set().union(*map(successors, across)) - seen
         seen |= across | layer
         for o in sorted(layer, key=rank.__getitem__)[:left]:
-            if not mine.isdisjoint(_ends(net, o, net.preset(o))):
+            if _lemma_allows(net, side, o):
                 yield o
         left -= len(layer)
 
@@ -527,6 +602,11 @@ def reduce_net(net: Net, seed: int | None = None, observer: Observer | None = No
     `after` are `Net` values that later steps leave as they are.
     """
     require_wf(net)
+    return _reduce_valid(net, seed, observer)
+
+
+def _reduce_valid(net: Net, seed: int | None = None, observer: Observer | None = None) -> ReduceResult:
+    """`reduce_net` on a net its caller has already validated as a workflow net."""
     return _Reducer(net, seed).run(observer)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nets import Net, NodeId, _Graph, _replace_nodes, descendants_closure
+from .nets import Net, NodeId, _Graph, _net_from_maps, _replace_nodes, descendants_closure
 
 
 @dataclass(frozen=True)
@@ -63,19 +63,26 @@ def subnet_view(host: Net, selection: Iterable[NodeId]) -> SubnetView:
     """Restrict `host` to `selection` with the induced interface.
 
     Reads only the members' presets and postsets, not every host arc.  The
+    view's `_pred`/`_succ` are the host's maps restricted to the members,
+    seeded into the view as `_Graph.freeze` seeds its own, so the view's
+    arcs are read off once and its maps are never rebuilt from them.  The
     host may be a `Net` or the reducer's working graph; the view's fields
     are frozen sets either way.
     """
     members = _members(host, selection)
     inputs, outputs = _interface(host, members)
-    restricted = Net(
-        places=members & host.places,
-        transitions=members & host.transitions,
-        arcs=frozenset((a, b) for a in members for b in host.postset(a) & members),
-        inputs=inputs,
-        outputs=outputs,
+    return SubnetView(
+        host=host,
+        members=members,
+        net=_net_from_maps(
+            members & host.places,
+            members & host.transitions,
+            inputs,
+            outputs,
+            {n: host.preset(n) & members for n in members},
+            {n: host.postset(n) & members for n in members},
+        ),
     )
-    return SubnetView(host=host, members=members, net=restricted)
 
 
 def is_well_nested(host: Net, selection: Iterable[NodeId]) -> bool:

@@ -159,6 +159,30 @@ class TestReduce:
         assert len(parse_net(out).net) == 10
 
 
+class TestValidatesOnce:
+    """A command that reduces a net validates it once, on loading."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("reduce", NESTED), ("reduce", TAND_WIDE, "--seed", "2"), ("verify-andor", NESTED), ("verify-andor", TAND_WIDE)],
+    )
+    def test_one_validation_per_command(self, capsys, monkeypatch, argv):
+        from wfnet import cli, nets
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(nets, "validate", counted)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2)
+        assert err == ""
+        assert len(calls) == 1
+
+
 class TestVerifyAndor:
     def test_yes(self, capsys):
         code, out, err = run(capsys, "verify-andor", NESTED)

@@ -11,8 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NETS, load_fixture
-from helpers import chains, deep_tree, fan, perturb, reference_grow, reference_nearby, state_machine
+from helpers import (
+    chains,
+    deep_tree,
+    fan,
+    perturb,
+    random_wf_nets,
+    reference_grow,
+    reference_nearby,
+    state_machine,
+)
 from wfnet import reduction
+from wfnet.nets import InvalidNetError
 from wfnet import (
     GenerationRecipe,
     Internal,
@@ -256,6 +266,11 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_net(bad)
 
+    def test_validates_its_input(self):
+        bad = Net.of(places=["p", "q"], inputs=["p"], outputs=["q"])
+        with pytest.raises(InvalidNetError):
+            reduce_net(bad)
+
 
 class TestIsAndor:
     def test_fixture_verdicts(self, all_fixture_nets):
@@ -419,16 +434,59 @@ class TestNearby:
             inputs=["p0"],
             outputs=[f"p{size - 1}"],
         )
-        ends = reduction._ends
+        allows = reduction._lemma_allows
         calls = []
 
-        def counted(net, n, near):
-            calls.append(n)
-            return ends(net, n, near)
+        def counted(net, side, o):
+            calls.append(o)
+            return allows(net, side, o)
 
-        monkeypatch.setattr(reduction, "_ends", counted)
+        monkeypatch.setattr(reduction, "_lemma_allows", counted)
         assert next(reduction._nearby(net, "p0", _rank(net))) == "p1"
-        assert calls == ["p0", "p1"]
+        assert calls == ["p1"]
+
+
+class TestLemmaAllows:
+    """`_lemma_allows` against the `_ends` keys on every reachable same-type pair.
+
+    Unlike `reference_nearby`, this reaches pairs beyond `_CANDIDATE_CAP`.
+    """
+
+    @staticmethod
+    def assert_agrees_with_ends(net: Net) -> None:
+        for focus in sorted(net.nodes):
+            side = reduction._focus_side(net, focus)
+            mine = reduction._ends(net, focus, net.postset(focus))
+            for o in sorted(descendants(net, focus) - {focus}):
+                if net.is_place(o) == net.is_place(focus):
+                    expected = bool(mine & reduction._ends(net, o, net.preset(o)))
+                    assert reduction._lemma_allows(net, side, o) == expected, (focus, o)
+
+    @pytest.mark.parametrize("stem", sorted(NETS))
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_every_pair_of_every_fixture_step(self, stem, seed):
+        for net in _intermediate_nets(load_fixture(stem), seed):
+            self.assert_agrees_with_ends(net)
+
+    @pytest.mark.parametrize("recipe_seed, edit_seed", [(4, 1), (9, 2)])
+    def test_every_pair_of_every_edited_member_step(self, recipe_seed, edit_seed):
+        member = generate_andor_net(GenerationRecipe(seed=recipe_seed, substitution_steps=40)).net
+        edited = perturb(member, edit_seed)
+        assert edited is not None
+        for net in _intermediate_nets(edited, edit_seed):
+            self.assert_agrees_with_ends(net)
+
+    def test_every_pair_of_every_state_machine_step(self):
+        for net in _intermediate_nets(state_machine(20, 1), None):
+            self.assert_agrees_with_ends(net)
+
+    def test_every_pair_of_every_random_net_step(self):
+        # Pairs with equal postsets (presets) but different output (input)
+        # membership, which the fixtures and edited members lack: without
+        # these nets, dropping either membership test goes unnoticed.
+        for net in random_wf_nets(40, 1):
+            for step in _intermediate_nets(net, None):
+                self.assert_agrees_with_ends(step)
 
 
 class TestGrowOrder:

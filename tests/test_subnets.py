@@ -20,7 +20,7 @@ from wfnet import (
     substitute,
     validate,
 )
-from wfnet.nets import InvalidNetError, _Graph, descendants_closure
+from wfnet.nets import InvalidNetError, _Graph, _adjacency, descendants_closure
 from wfnet.subnets import _is_path_quotient
 
 
@@ -259,6 +259,34 @@ class TestPatchedAdjacency:
 
         reduce_net(_adjacency_case(name), order_seed, observer=check)
         assert contractions
+
+
+class TestViewMaps:
+    """`subnet_view` restricts its host's maps; they equal the maps rebuilt from the view's arcs."""
+
+    @pytest.mark.parametrize("order_seed", [None, 1])
+    @pytest.mark.parametrize("name", sorted(NETS) + ["generated4"])
+    def test_every_contracted_selection(self, name, order_seed):
+        selections = []
+
+        def check(before, selection, fresh, after):
+            selections.append(selection)
+            arcs = frozenset((a, b) for a, b in before.arcs if a in selection and b in selection)
+            views = [subnet_view(before, selection).net, subnet_view(_Graph(before), selection).net]
+            for view in views:
+                assert view._pred == _adjacency(view.nodes, ((b, a) for a, b in view.arcs)), fresh
+                assert view._succ == _adjacency(view.nodes, view.arcs), fresh
+                plain = Net(
+                    places=view.places, transitions=view.transitions, arcs=view.arcs,
+                    inputs=view.inputs, outputs=view.outputs,
+                )
+                assert view.arcs == arcs
+                assert view == plain
+                assert hash(view) == hash(plain)
+            assert views[0] == views[1]
+
+        reduce_net(_adjacency_case(name), order_seed, observer=check)
+        assert selections
 
 
 def _assert_exact_adjacency(net: Net) -> None:
