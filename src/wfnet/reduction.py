@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .classes import BASIC_CLASS_NAMES, classify
-from .nets import FreshIds, Net, NodeId, _Graph, descendants, reach_masks, require_wf
+from .nets import FreshIds, Net, NodeId, _Graph, descendants, is_acyclic, reach_masks, require_wf
 from .subnets import contract, is_well_nested, subnet_view
 
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
@@ -363,17 +363,51 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     So the one-in, one-out class survives only if it lies in `in(i)` and
     `out(o)`, and the other class likewise.  QED.
 
-    The scan applies the lemma through an index of `_ends` keys: the
-    candidates of a focus come from one index of every node's
-    `_ends(n, pre(n))`, built once per scan in O(N + E).  The worklist
-    (`_nearby`) applies it by direct comparison on the adjacency maps
-    (`_lemma_allows`) and builds no key sets; `reference_nearby` in the
-    tests and a test over every reachable same-type pair pin that the two
-    agree.  Whether a candidate is reachable from the focus is one test
-    against a reachability closure, `nets.reach_masks`: one bit mask per
-    node over the strongly connected components, built once per scan at
-    the first focus whose pool is not empty.  The candidates still sort by
-    rank, so the bit each component gets decides nothing.
+    Call the class of i's type that is not one-in, one-out its AND-kind
+    class: `pAND` for a place, `tOR` for a transition.  (a) admits it when
+    `|post(i)| = 1` and `|pre(o)| = 1`; write `post(i) = {t}` and
+    `pre(o) = {t'}`.  Condition D2 holds when every node m in
+    `pre(t) | post(t) | pre(t') | post(t')`, all of them of i's type, has
+    `|pre(m)| = 1` or `(pre(m), m is an input) = (pre(i), i is an input)`,
+    and `|post(m)| = 1` or `(post(m), m is an output) = (post(o), o is an
+    output)`.
+
+    Refined lemma.  For the same pairs, `_grow(i, o)`, capped or not,
+    returns a hit only if (b), or (c), or (a) for the one-in, one-out
+    class, or (a) for the AND-kind class together with D2.
+
+    Proof.  Assume neither (b) nor (c).  By the lemma, the one-in, one-out
+    class survives only under (a) for that class, and the AND-kind class
+    only under (a) for it, so `post(i) = {t}` and `pre(o) = {t'}`; it
+    remains that the AND-kind class survives only under D2.  By the proof
+    above, i pulls t into the selection and o pulls t'.  Neither t nor t'
+    joins `ins` or `outs`: i is in `pre(t)` but not in `pre(i)`, which
+    holds nodes of t's type; `post(t)` is non-empty, since every path from
+    i to o != i runs through t, and it holds nodes of i's type, unlike
+    `post(o)`; dually, o is in `post(t')` but not in `post(o)`, and
+    `pre(t')` is non-empty and unlike `pre(i)`.  So the presets and
+    postsets of t and t' are pulled in, and a hit has popped each of their
+    nodes.  When a node m of i's type is popped, it is in `ins` exactly
+    when `(pre(m), m is an input) = (pre(i), i is an input)`: i is in
+    `ins` from the start and meets it, and any other node joins at its own
+    pop on that test.  If m is not in `ins`, its preset was just pulled
+    in, so `inner_pre = |pre(m)|`, and a value other than 1 prunes the
+    AND-kind class of m's type.  Dually for `outs` and `inner_post`, with
+    o's postset and output membership.  That is D2.  QED.
+
+    The scan applies the lemmas in two steps.  The candidates of a focus
+    come from one index of every node's `_ends(n, pre(n))`, built once per
+    scan in O(N + E): the pairs whose keys meet, which is the first lemma.
+    Whether a candidate is reachable from the focus is one test against a
+    reachability closure, `nets.reach_masks`: one bit mask per node over
+    the strongly connected components, built once per scan at the first
+    focus whose pool is not empty.  The candidates sort by rank, so the bit
+    each component gets decides nothing, and the refined lemma
+    (`_lemma_allows`) is tested on each only as `_expand` takes it: where
+    a pool holds nearly every node, as in a state machine, testing the
+    whole sorted list first costs more than the grows it saves.  The
+    worklist (`_nearby`) tests the refined lemma the same way, on the
+    adjacency maps, and builds no key sets.
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
@@ -402,7 +436,8 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
         candidates = sorted(
             (n for n in pool if mask & bit[n] and net.is_place(n) == same_type), key=rank.__getitem__
         )
-        hit = _expand(net, focus, candidates, None)
+        side = _focus_side(net, focus)
+        hit = _expand(net, focus, (o for o in candidates if _lemma_allows(net, side, o)), None)
         if hit is not None:
             return hit
     return None
@@ -438,43 +473,106 @@ def _one_in_one_out(net: Net, near: frozenset[NodeId]) -> bool:
     return True
 
 
-# Focus's side of the lemma, read once per focus by `_nearby`: its postset
-# and output membership, its preset and input membership, |post| == 1, and
-# whether its postset is one-in, one-out (`in(focus)` of the lemma).
-_Side = tuple[frozenset[NodeId], bool, frozenset[NodeId], bool, bool, bool]
+# Focus's side of the refined lemma, read once per focus by `_focus_side`:
+# its postset and output membership, its preset and input membership,
+# whether its postset is one-in, one-out (`in(focus)` holds that class),
+# whether (a) with the focus's half of D2 can admit the AND-kind class, and
+# the (postset, output membership) keys that half asks of a candidate.
+_Key = tuple[frozenset[NodeId], bool]
+_Side = tuple[frozenset[NodeId], bool, frozenset[NodeId], bool, bool, bool, "set[_Key] | None"]
 
 
 def _focus_side(net: Net, focus: NodeId) -> _Side:
-    post = net.postset(focus)
-    return (
-        post,
-        focus in net.outputs,
-        net.preset(focus),
-        focus in net.inputs,
-        len(post) == 1,
-        _one_in_one_out(net, post),
-    )
+    """Focus's side of the refined lemma of `find_contractible`.
+
+    D2 at the focus's one successor t depends on the candidate o only
+    through o's (postset, output membership), so it is read here once: it
+    fails, or it names the keys of the nodes around t that have other than
+    one successor, and o's key must equal each of them.  Two different
+    keys cannot both be met, so they fail it too.
+    """
+    post = net._succ[focus]
+    pre = net._pred[focus]
+    is_input = focus in net.inputs
+    need = _d2_keys(net, next(iter(post)), pre, is_input) if len(post) == 1 else None
+    and_kind = need is not None and len(need) <= 1
+    return (post, focus in net.outputs, pre, is_input, _one_in_one_out(net, post), and_kind, need)
+
+
+def _d2_keys(net: Net, t: NodeId, pre: frozenset[NodeId], is_input: bool) -> set[_Key] | None:
+    """Condition D2 at the nodes around t, given the focus's (preset, input membership).
+
+    None when a node of `pre(t) | post(t)` has neither one predecessor nor
+    that (preset, input membership); otherwise the (postset, output
+    membership) of each of those nodes with other than one successor,
+    which the candidate's must equal.
+    """
+    pred = net._pred
+    succ = net._succ
+    inputs = net.inputs
+    outputs = net.outputs
+    keys = set()
+    for near in (pred[t], succ[t]):
+        for m in near:
+            pre_m = pred[m]
+            if len(pre_m) != 1 and (pre_m != pre or (m in inputs) != is_input):
+                return None
+            post_m = succ[m]
+            if len(post_m) != 1:
+                keys.add((post_m, m in outputs))
+    return keys
 
 
 def _lemma_allows(net: Net, side: _Side, o: NodeId) -> bool:
-    """Do `_ends(focus, post(focus))` and `_ends(o, pre(o))` share a key?
+    """Does the refined lemma of `find_contractible` admit the pair (focus, o)?
 
-    The lemma of `find_contractible` by direct comparison, for a focus of
-    o's type whose side is `side`: cheapest test first, and no key set is
-    built.
+    By direct comparison on the adjacency maps, for a focus of o's type
+    whose side is `side`, cheapest test first; no key set is built.  It
+    admits a subset of the pairs whose `_ends` keys meet.
     """
-    post, is_output, pre, is_input, single, simple = side
+    post, is_output, pre, is_input, simple, and_kind, need = side
     pre_o = net._pred[o]
-    return (
-        # (a), the class that is not one-in, one-out.
-        (single and len(pre_o) == 1)
-        # (c)
-        or (pre_o == pre and (o in net.inputs) == is_input)
-        # (b)
-        or (net._succ[o] == post and (o in net.outputs) == is_output)
-        # (a), the one-in, one-out class.
-        or (simple and _one_in_one_out(net, pre_o))
-    )
+    # (c)
+    if pre_o == pre and (o in net.inputs) == is_input:
+        return True
+    post_o = net._succ[o]
+    key = (post_o, o in net.outputs)
+    # (b)
+    if post_o == post and key[1] == is_output:
+        return True
+    # (a), the one-in, one-out class.
+    if simple and _one_in_one_out(net, pre_o):
+        return True
+    # (a), the AND-kind class, with both halves of D2.
+    if not and_kind or len(pre_o) != 1 or (need and key not in need):
+        return False
+    keys = _d2_keys(net, next(iter(pre_o)), pre, is_input)
+    return keys is not None and keys <= {key}
+
+
+def _twins(net: Net, side: _Side, focus: NodeId, acyclic: bool) -> set[NodeId]:
+    """The nodes other than focus that reach the lemma through (b) or (c) alone.
+
+    Those with focus's (postset, output membership), read off the
+    predecessors of one node of its postset, and those with its (preset,
+    input membership), read off the successors of one node of its preset.
+    An empty side is skipped: a focus with no successor reaches nothing,
+    and nothing reaches a node with no predecessor.  So are the preset
+    twins of an acyclic net, since reaching one means reaching a node of
+    focus's preset, which reaches focus.
+    """
+    post, is_output, pre, is_input = side[:4]
+    pred = net._pred
+    succ = net._succ
+    twins = set()
+    if post:
+        outputs = net.outputs
+        twins.update(n for n in pred[next(iter(post))] if succ[n] == post and (n in outputs) == is_output)
+    if pre and not acyclic:
+        inputs = net.inputs
+        twins.update(n for n in succ[next(iter(pre))] if pred[n] == pre and (n in inputs) == is_input)
+    twins.discard(focus)
+    return twins
 
 
 # The three detectors, shared by `find_contractible` and the worklist.  Each
@@ -541,27 +639,36 @@ def _expand(net: Net, focus: NodeId, candidates: Iterable[NodeId], cap: int | No
     return None
 
 
-def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> Iterator[NodeId]:
+def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int], acyclic: bool = False) -> Iterator[NodeId]:
     """The worklist's expand candidates for focus, produced lazily.
 
     The first `_CANDIDATE_CAP` same-type nodes reachable from focus, nearest
-    first and by rank within one distance; of those, the ones the lemma of
-    `find_contractible` rules out are dropped.  The lemma filters only after
-    the list is cut, so it never changes which candidates the cap keeps.
-    Arcs alternate between places and transitions in every net the reducer
-    sees, so the walk steps two arcs at a time and every layer it keeps has
-    focus's type.
+    first and by rank within one distance; of those, the ones the refined
+    lemma of `find_contractible` rules out are dropped.  The lemma filters
+    only after the list is cut, so it never changes which candidates the
+    cap keeps.  Arcs alternate between places and transitions in every net
+    the reducer sees, so the walk steps two arcs at a time and every layer
+    it keeps has focus's type.
 
     Focus's side of the lemma is read once, and each candidate is tested
     against it by `_lemma_allows`, which compares the adjacency maps
-    directly instead of building `_ends` key sets.  The walk and the lemma
-    tests run only as far as the candidates are taken, so `_expand`
-    stopping at its first hit stops them too.  The
-    generator reads `net` as it goes, so it must be used up or dropped
-    before the net changes; `_try_focus` drops it at `_expand`'s return,
-    before the hit is contracted.
+    directly instead of building `_ends` key sets.  When focus's side rules
+    out (a) for both classes, the lemma admits exactly focus's twins
+    (`_twins`), found without a walk: with none, there is no walk at all;
+    otherwise the walk yields the twins it keeps and stops once it has
+    passed them all.  `acyclic` says the net has no cycle, so that no
+    preset twin is reachable; the caller vouches for it, and False is
+    always safe.  The walk and the lemma tests run only as far as the
+    candidates are taken, so `_expand` stopping at its first hit stops
+    them too.  The generator reads `net` as it goes, so it must be used up
+    or dropped before the net changes; `_try_focus` drops it at
+    `_expand`'s return, before the hit is contracted.
     """
     side = _focus_side(net, focus)
+    simple, and_kind = side[4:6]
+    twins = None if simple or and_kind else _twins(net, side, focus, acyclic)
+    if twins is not None and not twins:
+        return
     successors = net._succ.__getitem__
     left = _CANDIDATE_CAP
     seen = {focus}
@@ -570,9 +677,17 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int]) -> Iterator[NodeId
         across = set().union(*map(successors, layer)) - seen
         layer = set().union(*map(successors, across)) - seen
         seen |= across | layer
-        for o in sorted(layer, key=rank.__getitem__)[:left]:
-            if _lemma_allows(net, side, o):
-                yield o
+        if twins is None:
+            for o in sorted(layer, key=rank.__getitem__)[:left]:
+                if _lemma_allows(net, side, o):
+                    yield o
+        elif not twins.isdisjoint(layer):
+            for o in sorted(layer, key=rank.__getitem__)[:left]:
+                if o in twins:
+                    yield o
+            twins -= layer
+            if not twins:
+                return
         left -= len(layer)
 
 
@@ -636,10 +751,25 @@ class _Reducer:
     next, and so the output bytes; the grow cap does too on wide fan-outs.
     Every node the queue is given is a node of the current net: `_apply`
     queues only the fresh node and its neighbours.
+
+    Whether the input is acyclic is read once, and `_nearby` is told, since
+    no preset twin is reachable in an acyclic net.  That stays true for the
+    whole reduction: contraction keeps an acyclic net acyclic.  Proof.
+    Arcs that do not touch the selection S are the host's, so a cycle of
+    the contracted net passes the fresh node x; take one that passes it
+    once, x -> a -> ... -> b -> x with the middle outside S.  x inherits
+    every arc that crossed the boundary, so some output of the view has
+    the arc to a and some input the arc from b.  `_hit` accepts only
+    well-nested selections, whose inputs share one outside preset and
+    whose outputs share one outside postset, so b precedes every input and
+    a follows every output.  The view is a workflow net, so some input
+    reaches some output inside S, and the host has the cycle a -> ... ->
+    b -> that input -> ... -> that output -> a.  QED.
     """
 
     def __init__(self, net: Net, seed: int | None):
         self.graph = _Graph(net)
+        self.acyclic = is_acyclic(net)
         # The `Net` the graph holds now, or None once an edit has made it stale.
         self.frozen: Net | None = net
         self.rank: dict[NodeId, int] = {n: k for k, n in enumerate(node_order(net, seed))}
@@ -699,7 +829,7 @@ class _Reducer:
         selection = _loop(graph, focus) or _parallel(graph, focus, self.rank)
         if selection is not None:
             return _hit(graph, selection)
-        return _expand(graph, focus, _nearby(graph, focus, self.rank), _GROW_CAP)
+        return _expand(graph, focus, _nearby(graph, focus, self.rank, self.acyclic), _GROW_CAP)
 
     def _apply(self, hit: Hit, observer: Observer | None) -> None:
         selection, classes = hit

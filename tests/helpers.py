@@ -517,12 +517,57 @@ def deep_tree(levels: int, bottom: str = "n0"):
     return tree
 
 
+def reference_lemma(net: Net, i: str, o: str) -> bool:
+    """The refined lemma of `reduction.find_contractible`, coded from its statement.
+
+    (b) or (c); or (a) for the one-in, one-out class, read off `post(i)` and
+    `pre(o)`; or (a) for the AND-kind class together with D2, tested at
+    once on every node around the transitions (places) of `post(i)` and
+    `pre(o)`, not split into a focus half and a candidate half.
+    """
+
+    def wired_in(n):
+        return net.preset(n), n in net.inputs
+
+    def wired_out(n):
+        return net.postset(n), n in net.outputs
+
+    def one_in_one_out(near):
+        return bool(near) and all(len(net.preset(m)) == 1 and len(net.postset(m)) == 1 for m in near)
+
+    if wired_out(i) == wired_out(o) or wired_in(i) == wired_in(o):
+        return True
+    if one_in_one_out(net.postset(i)) and one_in_one_out(net.preset(o)):
+        return True
+    if len(net.postset(i)) != 1 or len(net.preset(o)) != 1:
+        return False
+    around = set()
+    for t in net.postset(i) | net.preset(o):
+        around |= net.preset(t) | net.postset(t)
+    return all(
+        (len(net.preset(m)) == 1 or wired_in(m) == wired_in(i))
+        and (len(net.postset(m)) == 1 or wired_out(m) == wired_out(o))
+        for m in around
+    )
+
+
+def reference_twins(net: Net, focus: str) -> set:
+    """The nodes reachable from focus that share its (preset, input membership) or (postset, output membership)."""
+    return {
+        n
+        for n in descendants(net, focus) - {focus}
+        if (net.preset(n), n in net.inputs) == (net.preset(focus), focus in net.inputs)
+        or (net.postset(n), n in net.outputs) == (net.postset(focus), focus in net.outputs)
+    }
+
+
 def reference_nearby(net: Net, focus: str, rank: dict) -> list:
     """`reduction._nearby` from BFS distances, testing every node's type.
 
     Every node reachable from focus gets its distance; the same-type ones
     are ordered by distance and then rank, the first `_CANDIDATE_CAP` are
-    kept, and those whose `_ends` keys miss focus's are dropped.
+    kept, and those `reference_lemma` rules out are dropped.  There is no
+    shortcut for a focus that only twins can match, acyclic net or not.
     """
     distance = {focus: 0}
     frontier = [focus]
@@ -536,8 +581,33 @@ def reference_nearby(net: Net, focus: str, rank: dict) -> list:
         frontier = following
     same_type = [n for n in distance if n != focus and net.is_place(n) == net.is_place(focus)]
     kept = sorted(same_type, key=lambda n: (distance[n], rank[n]))[: reduction._CANDIDATE_CAP]
-    mine = reduction._ends(net, focus, net.postset(focus))
-    return [o for o in kept if mine & reduction._ends(net, o, net.preset(o))]
+    return [o for o in kept if reference_lemma(net, focus, o)]
+
+
+def layered_dag(seed: int, layers: int, width: int = 3) -> Net:
+    """Alternating place and transition layers, places first and last.
+
+    Every node below the first layer has two predecessors in the layer
+    above, and every node above the last layer at least one successor in
+    the layer below, so every node lies on a path from the first layer
+    (the inputs) to the last (the outputs).
+    """
+    rng = random.Random(seed)
+    rows = [[f"{'pt'[k % 2]}{k}_{j}" for j in range(width)] for k in range(layers)]
+    arcs: set[tuple[str, str]] = set()
+    for above, below in zip(rows, rows[1:]):
+        for n in below:
+            arcs |= {(m, n) for m in rng.sample(above, 2)}
+        for m in above:
+            if not any(a == m for a, _ in arcs):
+                arcs.add((m, rng.choice(below)))
+    return Net.of(
+        places=[n for row in rows[::2] for n in row],
+        transitions=[n for row in rows[1::2] for n in row],
+        arcs=arcs,
+        inputs=rows[0],
+        outputs=rows[-1],
+    )
 
 
 def fan(width: int) -> Net:

@@ -13,12 +13,20 @@ contractible subset, and `is_andor` must agree with `oracle_andor`.
 from __future__ import annotations
 
 import hashlib
-import random
 
 import pytest
 
 from conftest import NETS
-from helpers import chains, contractible_subset, oracle_andor, perturb, random_wf_nets, reference_scan, state_machine
+from helpers import (
+    chains,
+    contractible_subset,
+    layered_dag,
+    oracle_andor,
+    perturb,
+    random_wf_nets,
+    reference_scan,
+    state_machine,
+)
 from wfnet import (
     GenerationRecipe,
     Net,
@@ -44,32 +52,6 @@ def scanned_nets(net: Net) -> list[Net]:
 def assert_same_first_hits(net: Net) -> None:
     for order in (None, node_order(net, 1), node_order(net, 2)):
         assert find_contractible(net, order) == reference_scan(net, order)
-
-
-def layered_dag(seed: int, layers: int, width: int = 3) -> Net:
-    """Alternating place and transition layers, places first and last.
-
-    Every node below the first layer has two predecessors in the layer
-    above, and every node above the last layer at least one successor in
-    the layer below, so every node lies on a path from the first layer
-    (the inputs) to the last (the outputs).
-    """
-    rng = random.Random(seed)
-    rows = [[f"{'pt'[k % 2]}{k}_{j}" for j in range(width)] for k in range(layers)]
-    arcs: set[tuple[str, str]] = set()
-    for above, below in zip(rows, rows[1:]):
-        for n in below:
-            arcs |= {(m, n) for m in rng.sample(above, 2)}
-        for m in above:
-            if not any(a == m for a, _ in arcs):
-                arcs.add((m, rng.choice(below)))
-    return Net.of(
-        places=[n for row in rows[::2] for n in row],
-        transitions=[n for row in rows[1::2] for n in row],
-        arcs=arcs,
-        inputs=rows[0],
-        outputs=rows[-1],
-    )
 
 
 def mask_nets() -> dict[str, Net]:

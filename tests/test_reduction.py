@@ -15,14 +15,17 @@ from helpers import (
     chains,
     deep_tree,
     fan,
+    layered_dag,
     perturb,
     random_wf_nets,
     reference_grow,
+    reference_lemma,
     reference_nearby,
+    reference_twins,
     state_machine,
 )
 from wfnet import reduction
-from wfnet.nets import InvalidNetError
+from wfnet.nets import InvalidNetError, is_acyclic
 from wfnet import (
     GenerationRecipe,
     Internal,
@@ -387,6 +390,18 @@ class TestDeepTrees:
         assert pickle.loads(pickle.dumps(Leaf("p"))) == Leaf("p")
 
 
+PRESET_TWIN_LOOP = Net.of(
+    places=["i", "x", "f", "o", "y", "z"],
+    transitions=["s", "a", "b", "b2", "c", "d", "e"],
+    arcs=[
+        ("i", "s"), ("s", "x"), ("x", "a"), ("a", "f"), ("a", "o"), ("f", "b"), ("f", "b2"), ("b", "y"),
+        ("b2", "y"), ("b2", "z"), ("o", "c"), ("c", "y"), ("y", "d"), ("d", "x"), ("y", "e"), ("e", "z"),
+    ],
+    inputs=["i"],
+    outputs=["z"],
+)
+
+
 def _rank(net: Net, seed: int | None = None) -> dict[str, int]:
     return {n: k for k, n in enumerate(node_order(net, seed))}
 
@@ -399,15 +414,26 @@ def _intermediate_nets(net: Net, seed: int | None) -> list[Net]:
 
 
 class TestNearby:
-    """The worklist's candidates against `helpers.reference_nearby`."""
+    """The worklist's candidates against `helpers.reference_nearby`.
+
+    On an acyclic net `_nearby` is checked both as told and not told that
+    the net is acyclic.
+    """
+
+    @staticmethod
+    def assert_matches_reference(net: Net, rank: dict[str, int]) -> None:
+        acyclic = is_acyclic(net)
+        for focus in sorted(net.nodes):
+            expected = reference_nearby(net, focus, rank)
+            assert list(reduction._nearby(net, focus, rank)) == expected, focus
+            if acyclic:
+                assert list(reduction._nearby(net, focus, rank, True)) == expected, focus
 
     @pytest.mark.parametrize("stem", sorted(NETS))
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_focus_of_every_fixture_step(self, stem, seed):
         for net in _intermediate_nets(load_fixture(stem), seed):
-            rank = _rank(net, seed)
-            for focus in sorted(net.nodes):
-                assert list(reduction._nearby(net, focus, rank)) == reference_nearby(net, focus, rank), focus
+            self.assert_matches_reference(net, _rank(net, seed))
 
     @pytest.mark.parametrize("recipe_seed, edit_seed", [(4, 1), (9, 2)])
     def test_every_focus_of_every_edited_member_step(self, recipe_seed, edit_seed):
@@ -417,9 +443,54 @@ class TestNearby:
         nets = _intermediate_nets(edited, edit_seed)
         assert len(nets[-1]) > 1
         for net in nets:
-            rank = _rank(net, edit_seed)
+            self.assert_matches_reference(net, _rank(net, edit_seed))
+
+    @pytest.mark.parametrize("recipe_seed, steps, edit_seed", [(64, 15, 3), (144, 20, 1), (162, 10, 2)])
+    def test_every_focus_of_every_acyclic_edited_member_step(self, recipe_seed, steps, edit_seed):
+        member = generate_andor_net(GenerationRecipe(seed=recipe_seed, substitution_steps=steps)).net
+        edited = perturb(member, edit_seed)
+        assert edited is not None and is_acyclic(edited)
+        for net in _intermediate_nets(edited, edit_seed):
+            self.assert_matches_reference(net, _rank(net, edit_seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_focus_of_every_layered_dag_step(self, seed):
+        for net in _intermediate_nets(layered_dag(seed, layers=21), seed):
+            self.assert_matches_reference(net, _rank(net, seed))
+
+    def test_twins_are_the_reachable_twins(self):
+        """Where (a) admits nothing, the lemma's candidates are `_twins` that focus reaches."""
+        nets = [step for stem in sorted(NETS) for step in _intermediate_nets(load_fixture(stem), None)]
+        nets += random_wf_nets(40, 1) + [layered_dag(0, layers=21), PRESET_TWIN_LOOP]
+        checked = 0
+        for net in nets:
             for focus in sorted(net.nodes):
-                assert list(reduction._nearby(net, focus, rank)) == reference_nearby(net, focus, rank), focus
+                side = reduction._focus_side(net, focus)
+                reached = descendants(net, focus)
+                for acyclic in {False, is_acyclic(net)}:
+                    twins = reduction._twins(net, side, focus, acyclic)
+                    assert twins & reached == reference_twins(net, focus), (focus, acyclic)
+                    checked += bool(twins)
+        assert checked > 100
+
+    def test_the_reducer_streams_a_reachable_preset_twin_of_a_cyclic_net(self, monkeypatch):
+        # In PRESET_TWIN_LOOP, f and o share the preset {a}, and f reaches o
+        # through the cycle x -> a -> f -> b -> y -> d -> x.  f has two
+        # successors, b2 of which is not one-in, one-out, so (a) admits
+        # nothing at f, and o, its preset twin, is its one candidate: the
+        # acyclic shortcut, which drops preset twins, must not apply here.
+        nearby = reduction._nearby
+        streams = {}
+
+        def checked(net, focus, rank, acyclic=False):
+            got = list(nearby(net, focus, rank, acyclic))
+            assert got == reference_nearby(net, focus, rank), focus
+            streams.setdefault(focus, got)
+            yield from got
+
+        monkeypatch.setattr(reduction, "_nearby", checked)
+        reduce_net(PRESET_TWIN_LOOP)
+        assert streams["f"] == ["o"]
 
     def test_wide_fan_reaches_past_its_spokes(self):
         net = fan(500)
@@ -447,26 +518,36 @@ class TestNearby:
 
 
 class TestLemmaAllows:
-    """`_lemma_allows` against the `_ends` keys on every reachable same-type pair.
+    """`_lemma_allows` on every reachable same-type pair, beyond `_CANDIDATE_CAP`.
 
-    Unlike `reference_nearby`, this reaches pairs beyond `_CANDIDATE_CAP`.
+    It must agree with `helpers.reference_lemma`, admit only pairs whose
+    `_ends` keys meet (the first lemma, which the scan's index applies), and
+    admit every pair that `_grow` contracts at cap None, `_GROW_CAP` or 4.
     """
 
     @staticmethod
-    def assert_agrees_with_ends(net: Net) -> None:
+    def assert_refines_ends_and_admits_every_grow(net: Net) -> None:
+        # A selection never outgrows the net, so on a net no larger than
+        # `_GROW_CAP` that cap walks exactly as cap None.
+        caps = (None, 4) if len(net) <= reduction._GROW_CAP else (None, reduction._GROW_CAP, 4)
         for focus in sorted(net.nodes):
             side = reduction._focus_side(net, focus)
             mine = reduction._ends(net, focus, net.postset(focus))
             for o in sorted(descendants(net, focus) - {focus}):
                 if net.is_place(o) == net.is_place(focus):
-                    expected = bool(mine & reduction._ends(net, o, net.preset(o)))
-                    assert reduction._lemma_allows(net, side, o) == expected, (focus, o)
+                    allowed = reduction._lemma_allows(net, side, o)
+                    assert allowed == reference_lemma(net, focus, o), (focus, o)
+                    if allowed:
+                        assert mine & reduction._ends(net, o, net.preset(o)), (focus, o)
+                    else:
+                        for cap in caps:
+                            assert reduction._grow(net, focus, o, cap) is None, (focus, o, cap)
 
     @pytest.mark.parametrize("stem", sorted(NETS))
     @pytest.mark.parametrize("seed", [None, 1])
     def test_every_pair_of_every_fixture_step(self, stem, seed):
         for net in _intermediate_nets(load_fixture(stem), seed):
-            self.assert_agrees_with_ends(net)
+            self.assert_refines_ends_and_admits_every_grow(net)
 
     @pytest.mark.parametrize("recipe_seed, edit_seed", [(4, 1), (9, 2)])
     def test_every_pair_of_every_edited_member_step(self, recipe_seed, edit_seed):
@@ -474,11 +555,11 @@ class TestLemmaAllows:
         edited = perturb(member, edit_seed)
         assert edited is not None
         for net in _intermediate_nets(edited, edit_seed):
-            self.assert_agrees_with_ends(net)
+            self.assert_refines_ends_and_admits_every_grow(net)
 
     def test_every_pair_of_every_state_machine_step(self):
         for net in _intermediate_nets(state_machine(20, 1), None):
-            self.assert_agrees_with_ends(net)
+            self.assert_refines_ends_and_admits_every_grow(net)
 
     def test_every_pair_of_every_random_net_step(self):
         # Pairs with equal postsets (presets) but different output (input)
@@ -486,7 +567,7 @@ class TestLemmaAllows:
         # these nets, dropping either membership test goes unnoticed.
         for net in random_wf_nets(40, 1):
             for step in _intermediate_nets(net, None):
-                self.assert_agrees_with_ends(step)
+                self.assert_refines_ends_and_admits_every_grow(step)
 
 
 class TestGrowOrder:
