@@ -66,6 +66,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def _positive_int(text: str) -> int:
+    """An option value that must be a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _read(path: str, parse: Callable[[str], _T]) -> _T:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -259,7 +270,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sub", action="store_true", help="check the substitution variant")
     p.add_argument("--max-states", type=int, default=MAX_STATES)
     p.add_argument("--max-tokens", type=int, default=MAX_TOKENS)
-    p.add_argument("--jobs", type=int, default=1, help="check files in parallel")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="check files in parallel")
     p.add_argument(
         "--compare-reduced",
         action="store_true",

@@ -218,20 +218,30 @@ def _replace_nodes(
     every arc that entered `old` from outside now enters each of `heads`,
     and every arc that left it now leaves each of `tails`; host inputs in
     `old` give way to `heads`, host outputs to `tails`.  The caller checks
-    that `old` are nodes of `host`; a new id that is already a node or an
-    arc end of `host` raises ValueError, and leaves `host` as it was.
+    that `old` are nodes of `host` and that `heads` and `tails` are new
+    nodes.  A new id that is already a node or an arc end of `host` raises
+    ValueError, and an arc end that is not a new node raises KeyError;
+    either leaves `host` as it was.
 
-    A `_Graph` host is edited in place and returned; the edit rewrites only
-    the map entries of `old`, its presets and postsets and the new nodes,
-    so it costs O(boundary).  A `Net` host is copied into a working graph,
-    which gets the same edit and is frozen into the result, so that costs
-    O(net).
+    A `_Graph` host is edited in place and returned.  The edit writes the
+    maps directly and touches only the entries of `old`, of the nodes
+    just outside it and of the new nodes: each feeder's successors lose
+    `old` and gain `heads`, each fed node's predecessors lose `old` and
+    gain `tails`, and the new nodes' entries are built from plain sets.
+    So it costs O(boundary).  A `Net` host is copied into a working
+    graph, which gets the same edit and is frozen into the result, so that
+    costs O(net).
     """
     new = places | transitions
     # Every node and arc end has an entry in both maps.
     clash = sorted(n for n in new if n in host._pred)
     if clash:
         raise ValueError(f"ids already in use: {', '.join(clash)}")
+    new_pred: dict[NodeId, set[NodeId]] = {n: set() for n in new}
+    new_succ: dict[NodeId, set[NodeId]] = {n: set() for n in new}
+    for a, b in arcs:
+        new_succ[a].add(b)
+        new_pred[b].add(a)
 
     graph = host if isinstance(host, _Graph) else _Graph(host)
     pred = graph._pred
@@ -244,17 +254,16 @@ def _replace_nodes(
     feeders -= old
     fed -= old
     for a in feeders:
-        succ[a] -= old
+        succ[a] = (succ[a] - old) | heads
     for b in fed:
-        pred[b] -= old
-
-    added = set(arcs)
-    added.update((a, h) for a in feeders for h in heads)
-    added.update((t, b) for t in tails for b in fed)
-    for n, extra in _adjacency(new, ((b, a) for a, b in added)).items():
-        pred[n] = pred.get(n, frozenset()) | extra
-    for n, extra in _adjacency(new, added).items():
-        succ[n] = succ.get(n, frozenset()) | extra
+        pred[b] = (pred[b] - old) | tails
+    for h in heads:
+        new_pred[h] |= feeders
+    for t in tails:
+        new_succ[t] |= fed
+    for n in new:
+        pred[n] = frozenset(new_pred[n])
+        succ[n] = frozenset(new_succ[n])
 
     if not graph.inputs.isdisjoint(old):
         graph.inputs -= old

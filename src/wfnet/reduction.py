@@ -43,9 +43,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
-from .classes import BASIC_CLASS_NAMES, classify
+from .classes import BASIC_CLASS_NAMES, _label_view
+from .classes import classify  # Unused here; `perfbench/tracing.py` wraps it by this name.
 from .nets import FreshIds, Net, NodeId, _Graph, descendants, is_acyclic, reach_masks, require_wf
-from .subnets import contract, is_well_nested, subnet_view
+from .subnets import _well_nested, contract
+from .subnets import is_well_nested  # Unused here; `perfbench/tracing.py` wraps it by this name.
+from .subnets import subnet_view  # Unused here; `perfbench/tracing.py` wraps it by this name.
 
 Observer = Callable[[Net, frozenset[NodeId], NodeId, Net], None]
 Hit = tuple[frozenset[NodeId], frozenset[str]]
@@ -275,9 +278,11 @@ def _hit(
     It may when its view is a workflow net in a basic class and the
     selection is well nested.  `possible` holds the classes an expand walk
     has not ruled out; a cyclic view, which can be neither pAND nor 11tAND,
-    is refused when nothing else is left in it.  The view is classified
-    once, and its acyclicity is read from that label.  Every detector's
-    selection is accepted here.
+    is refused when nothing else is left in it.  No view `Net` is built:
+    `classes._label_view` reads the view's label and its inputs and
+    outputs in one pass over the selection on the host's maps, the
+    acyclicity rule reads that label, and `subnets._well_nested` reads the
+    same inputs and outputs.  Every detector's selection is accepted here.
 
     The loop and parallel selections come with all four classes, and these
     checks never refuse them.  In a workflow net a loop {p, t} gives an
@@ -289,14 +294,14 @@ def _hit(
     an expand walk's selection the checks are independent and none has a
     side effect, so the order they run in decides nothing.
     """
-    view = subnet_view(net, selection)
-    if not view.is_wf:
+    view = _label_view(net, selection)
+    if view is None:
         return None
-    label = classify(view.net)
+    label, inputs, outputs = view
     if not label.acyclic and not possible - {"pAND", "11tAND"}:
         return None
     classes = label.basic_classes
-    if not classes or not is_well_nested(net, selection):
+    if not classes or not _well_nested(net, selection, inputs, outputs):
         return None
     return selection, classes
 

@@ -10,12 +10,18 @@ Contraction collapses a workflow-net view into one fresh node of the same
 interface type.  When the view is well-nested (all its inputs look the same
 from outside, likewise outputs), contraction is the inverse of substituting
 the view back in at the fresh node.
+
+`subnet_view` builds a view as a `Net`, for callers that want the view
+itself.  The reducer builds none: it reads a selection's class label and
+induced interface off the host's maps in one pass
+(`classes._label_view`) and checks well-nestedness on that interface
+(`_well_nested`), and `contract` edits the host's maps directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .nets import Net, NodeId, _Graph, _net_from_maps, _replace_nodes, descendants_closure
 
@@ -94,7 +100,13 @@ def is_well_nested(host: Net, selection: Iterable[NodeId]) -> bool:
     unambiguous.
     """
     members = _members(host, selection)
-    inputs, outputs = _interface(host, members)
+    return _well_nested(host, members, *_interface(host, members))
+
+
+def _well_nested(
+    host: Net | _Graph, members: AbstractSet[NodeId], inputs: Iterable[NodeId], outputs: Iterable[NodeId]
+) -> bool:
+    """`is_well_nested` given the selection's induced inputs and outputs."""
     return (
         len({(host.preset(n) - members, n in host.inputs) for n in inputs}) <= 1
         and len({(host.postset(n) - members, n in host.outputs) for n in outputs}) <= 1

@@ -17,7 +17,9 @@ def substitute(host: Net | _Graph, node: NodeId, inner: Net) -> Net | _Graph:
 
     The edit is `nets._replace_nodes`, as in `contract`: a `Net` host is left
     as it was and a copy is returned; a working graph (`nets._Graph`) is
-    edited in place and returned.  An inner id already in use raises ValueError.
+    edited in place and returned.  An inner id already in use raises
+    ValueError, and an inner arc with an end outside the inner net raises
+    KeyError; either leaves the host as it was.
     """
     if node not in host:
         raise KeyError(node)

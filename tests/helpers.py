@@ -12,9 +12,10 @@ import itertools
 import json
 import random
 
-from wfnet import Net, validate
+from wfnet import ClassLabel, Net, subnet_view, validate
 from wfnet import reduction
-from wfnet.nets import descendants
+from wfnet.classes import BASIC_CLASS_NAMES
+from wfnet.nets import descendants, is_acyclic
 
 Bag = tuple[tuple[str, int], ...]
 
@@ -670,3 +671,52 @@ def chains(width: int, variant: str) -> Net:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return Net.of(places=places, transitions=transitions, arcs=arcs, inputs=["i"], outputs=["o"])
+
+
+def reference_label(net: Net) -> ClassLabel:
+    """`classes.classify` composed of separate reads of the net, not one pass.
+
+    The wiring of every place and every transition, `nets.is_acyclic`, the
+    interface sizes and `Net.io_type`, each read on its own.
+    """
+
+    def wired(nodes):
+        return all(
+            len(net.preset(n)) == (0 if n in net.inputs else 1)
+            and len(net.postset(n)) == (0 if n in net.outputs else 1)
+            for n in nodes
+        )
+
+    return ClassLabel(
+        and_property=wired(net.places),
+        or_property=wired(net.transitions),
+        acyclic=is_acyclic(net),
+        one_input=len(net.inputs) == 1,
+        one_output=len(net.outputs) == 1,
+        io_type=net.io_type,
+    )
+
+
+def reference_hit(net: Net, selection, possible=frozenset(BASIC_CLASS_NAMES)):
+    """`reduction._hit` composed of the pieces it replaces, on a view `Net`.
+
+    Builds the view with `subnet_view`, refuses it unless it is a workflow
+    net, labels it with `reference_label`, applies the cyclic-view rule
+    (a cyclic view is refused when `possible` holds nothing but pAND and
+    11tAND), and refuses a label with no basic class or a selection whose
+    view inputs, or outputs, have two outside-wiring signatures.
+    """
+    view = subnet_view(net, selection)
+    if not view.is_wf:
+        return None
+    label = reference_label(view.net)
+    if not label.acyclic and not possible - {"pAND", "11tAND"}:
+        return None
+    if not label.basic_classes:
+        return None
+    members = view.members
+    signatures_in = {(net.preset(n) - members, n in net.inputs) for n in view.net.inputs}
+    signatures_out = {(net.postset(n) - members, n in net.outputs) for n in view.net.outputs}
+    if len(signatures_in) > 1 or len(signatures_out) > 1:
+        return None
+    return members, label.basic_classes

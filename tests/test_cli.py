@@ -283,6 +283,13 @@ class TestSoundness:
         assert asked == [2]
         assert parallel == serial
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "soundness", "--jobs", jobs, PAND, POR11)
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err and f"argument --jobs: must be at least 1, not {int(jobs)}" in err
+
     def test_compare_reduced_is_advisory(self, capsys):
         code, out, err = run(capsys, "soundness", "--compare-reduced", PAND)
         assert code == 0

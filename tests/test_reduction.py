@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import pickle
 
 import pytest
@@ -19,12 +20,15 @@ from helpers import (
     perturb,
     random_wf_nets,
     reference_grow,
+    reference_hit,
+    reference_label,
     reference_lemma,
     reference_nearby,
     reference_twins,
     state_machine,
 )
 from wfnet import reduction
+from wfnet.classes import BASIC_CLASS_NAMES
 from wfnet.nets import InvalidNetError, is_acyclic
 from wfnet import (
     GenerationRecipe,
@@ -595,6 +599,80 @@ class TestGrowOrder:
         edited = perturb(member, 1)
         assert edited is not None
         self.assert_same_grows(edited)
+
+
+# Every `possible` a detector passes to `_hit`: all four classes from the
+# loop and parallel tests, and any classes of one type that an expand walk
+# has not pruned.
+POSSIBLE = [frozenset(BASIC_CLASS_NAMES)] + [
+    frozenset(classes)
+    for pair in (("11pOR", "pAND"), ("11tAND", "tOR"))
+    for classes in (pair, pair[:1], pair[1:])
+]
+
+
+class TestHit:
+    """`_hit`, one pass on the host's maps, against `helpers.reference_hit` on a view `Net`."""
+
+    @staticmethod
+    def assert_detector_hits_match(net: Net, monkeypatch) -> dict[str, int]:
+        """Check every loop, parallel and uncapped `_grow` selection of `net`.
+
+        Returns how many selections `_hit` accepted and refused.
+        """
+        hit = reduction._hit
+        seen = {"accepted": 0, "refused": 0}
+
+        def checked(net, selection, possible=POSSIBLE[0]):
+            got = hit(net, selection, possible)
+            assert got == reference_hit(net, selection, possible), (sorted(selection), sorted(possible))
+            seen["accepted" if got else "refused"] += 1
+            return got
+
+        monkeypatch.setattr(reduction, "_hit", checked)
+        rank = _rank(net)
+        for focus in sorted(net.nodes):
+            for selection in (reduction._loop(net, focus), reduction._parallel(net, focus, rank)):
+                if selection is not None:
+                    reduction._hit(net, selection)
+            for o in sorted(descendants(net, focus) - {focus}):
+                if net.is_place(o) == net.is_place(focus):
+                    reduction._grow(net, focus, o)
+        monkeypatch.undo()
+        return seen
+
+    def test_every_detector_selection_of_every_reduction_step(self, monkeypatch):
+        member = generate_andor_net(GenerationRecipe(seed=4, substitution_steps=40)).net
+        edited = perturb(member, 1)
+        assert edited is not None
+        starts = [load_fixture(stem) for stem in sorted(NETS)] + [edited, layered_dag(0, layers=21)]
+        totals = {"accepted": 0, "refused": 0}
+        for start in starts:
+            for net in _intermediate_nets(start, None):
+                for key, count in self.assert_detector_hits_match(net, monkeypatch).items():
+                    totals[key] += count
+        assert totals["accepted"] > 100 and totals["refused"] > 100, totals
+
+    def test_every_subset_of_small_nets(self):
+        starts = [load_fixture(stem) for stem in sorted(NETS)] + random_wf_nets(300, 3)
+        nets = [net for start in starts for net in _intermediate_nets(start, None) if len(net) <= 7]
+        assert len(nets) > 80
+        outcomes = set()
+        for net in nets:
+            nodes = sorted(net.nodes)
+            for size in range(1, len(nodes) + 1):
+                for combo in itertools.combinations(nodes, size):
+                    selection = frozenset(combo)
+                    for possible in POSSIBLE:
+                        got = reduction._hit(net, selection, possible)
+                        assert got == reference_hit(net, selection, possible), (combo, sorted(possible))
+                        outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("stem", sorted(NETS))
+    def test_classify_is_the_reference_label(self, stem):
+        for net in _intermediate_nets(load_fixture(stem), None):
+            assert classify(net) == reference_label(net)
 
 
 class TestWorklistCaps:

@@ -23,7 +23,7 @@ from wfnet import (
     reduction,
     substitute,
 )
-from wfnet.nets import _Graph
+from wfnet.nets import _adjacency, _Graph
 
 
 def _member(seed: int, steps: int = 40) -> Net:
@@ -125,27 +125,89 @@ class TestHostUntouched:
 
 
 class TestNoNetPerContraction:
-    """Without an observer, a reduction builds one `Net` per view and one result."""
+    """Without an observer, a reduction builds one `Net`: its result."""
 
     @pytest.mark.parametrize("net", [_chain(500), _member(4, 80)], ids=["chain500", "generated4"])
-    def test_builds_are_views_plus_one(self, net, monkeypatch):
-        counts = {"builds": 0, "views": 0}
+    def test_one_build_per_reduction(self, net, monkeypatch):
+        builds = 0
         init = Net.__init__
-        view = reduction.subnet_view
 
         def counted_init(self, *args, **kwargs):
-            counts["builds"] += 1
+            nonlocal builds
+            builds += 1
             init(self, *args, **kwargs)
 
-        def counted_view(*args, **kwargs):
-            counts["views"] += 1
-            return view(*args, **kwargs)
-
         monkeypatch.setattr(Net, "__init__", counted_init)
-        monkeypatch.setattr(reduction, "subnet_view", counted_view)
         result = reduce_net(net)
         assert result.contractions > 1
-        assert counts["builds"] == counts["views"] + 1
+        assert builds == 1
+
+
+class TestMapsAfterEveryEdit:
+    """`_replace_nodes` edits a graph's maps directly; after every step they
+    must be the maps `_adjacency` rebuilds from the arcs they hold."""
+
+    @staticmethod
+    def assert_maps_rebuild(graph: _Graph) -> None:
+        arcs = {(a, b) for a, post in graph._succ.items() for b in post}
+        assert graph._succ == _adjacency(graph.nodes, arcs)
+        assert graph._pred == _adjacency(graph.nodes, ((b, a) for a, b in arcs))
+
+    @pytest.mark.parametrize("name", sorted(NETS) + ["generated4", "generated9"])
+    def test_every_contraction_of_a_reduction(self, name, monkeypatch):
+        steps = 0
+
+        def checked(host, selection, fresh):
+            nonlocal steps
+            result = contract(host, selection, fresh)
+            assert result is host
+            self.assert_maps_rebuild(result)
+            steps += 1
+            return result
+
+        monkeypatch.setattr(reduction, "contract", checked)
+        result = reduce_net(_case(name))
+        assert steps == result.contractions > 0
+
+    @pytest.mark.parametrize("seed", [4, 9, 21])
+    def test_every_substitution_of_a_generation(self, seed):
+        generated = generate_andor_net(GenerationRecipe(seed=seed, substitution_steps=40))
+        root = generated.steps[0].node
+        graph = _Graph(Net.of(places=[root], inputs=[root], outputs=[root]))
+        wide = 0
+        for step in generated.steps:
+            assert substitute(graph, step.node, step.inner) is graph
+            self.assert_maps_rebuild(graph)
+            wide += len(step.inner.inputs) > 1 and len(step.inner.outputs) > 1
+        assert wide > 0
+        assert graph.freeze() == generated.net
+
+    def test_several_heads_and_tails_between_several_feeders_and_fed_nodes(self, pand):
+        # The middle place m has two producers and two consumers; the pand
+        # fixture has three inputs and three outputs, and `tor` two of each.
+        host = Net.of(
+            places=["i", "m", "o"], transitions=["a1", "a2", "b1", "b2"],
+            arcs=[("i", "a1"), ("i", "a2"), ("a1", "m"), ("a2", "m"),
+                  ("m", "b1"), ("m", "b2"), ("b1", "o"), ("b2", "o")],
+            inputs=["i"], outputs=["o"],
+        )
+        tor = Net.of(
+            places=["q"], transitions=["u1", "u2", "u3", "u4"],
+            arcs=[("u1", "q"), ("u2", "q"), ("q", "u3"), ("q", "u4")],
+            inputs=["u1", "u2"], outputs=["u3", "u4"],
+        )
+        graph = _Graph(host)
+        substitute(graph, "m", pand)
+        self.assert_maps_rebuild(graph)
+        assert graph._succ["a1"] == graph._succ["a2"] == pand.inputs
+        assert graph._pred["b1"] == graph._pred["b2"] == pand.outputs
+        substitute(graph, "b1", tor)
+        self.assert_maps_rebuild(graph)
+        assert graph._succ["o"] == frozenset() and graph._pred["o"] == {"u3", "u4", "b2"}
+        contract(graph, pand.nodes, "x")
+        self.assert_maps_rebuild(graph)
+        assert graph._pred["x"] == {"a1", "a2"} and graph._succ["x"] == {"u1", "u2", "b2"}
+        assert substitute(graph.freeze(), "x", pand) == substitute(substitute(host, "m", pand), "b1", tor)
 
 
 class TestFreezeRoundTrip:
