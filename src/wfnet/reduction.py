@@ -15,7 +15,8 @@ Three detectors look for a contractible selection at one focus node:
 candidate stream, walked only as far as its candidates are taken, and a
 capped expand walk.  `find_contractible` runs the same detectors uncapped
 over every node; it is the completeness pass, and reduction stops only
-when it finds nothing.  Neither grows a pair of nodes that a necessary
+when it finds nothing (the reducer runs only its expand phase, where the
+other two provably cannot hit).  Neither grows a pair of nodes that a necessary
 condition for a hit, proved in `find_contractible`, rules out; the
 completeness pass takes its pairs from an index of that condition and
 tests their reachability against one closure, each built once per scan,
@@ -314,14 +315,16 @@ def node_order(net: Net, seed: int | None = None) -> list[NodeId]:
     return order
 
 
-def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | None:
+def find_contractible(net: Net, order: Sequence[NodeId] | None = None, *, expand_only: bool = False) -> Hit | None:
     """First contractible non-trivial selection under the given node order.
 
     Runs the loop test at every place, then the parallel test at every
     node, then the uncapped expand walk from every node, each phase in
     `order` (every node once), and returns the selection together with the
     basic classes of its view.  It finds a contraction whenever one exists.
-    Raises ValueError when `order` is not a permutation of the net's nodes.
+    `expand_only` skips the first two phases; the reducer passes it when
+    its queue runs dry, where neither can hit (see `_Reducer`).  Raises
+    ValueError when `order` is not a permutation of the net's nodes.
 
     The expand walk grows a pair (focus, o) only when the following lemma
     allows it, so the pairs it skips are pairs `_grow` rejects; the
@@ -331,16 +334,13 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     transition), let `in(n)` hold the one-in, one-out class iff `post(n)`
     is non-empty and each node in it has exactly one predecessor and one
     successor, and the other class iff `|post(n)| = 1`; `out(n)` is the
-    same with `pre(n)`.  `_ends(n, post(n))` is the key set made of
-    `in(n)`, (post, `post(n)`, n is an output) and (pre, `pre(n)`, n is an
-    input); `_ends(n, pre(n))` is the same with `out(n)` for `in(n)`.
+    same with `pre(n)`.  (`tests/helpers.py::ends` states the lemma as
+    key sets that must meet.)
 
     Lemma.  For same-type nodes i != o with o reachable from i,
-    `_grow(i, o)`, capped or not, returns a hit only if
-    `_ends(i, post(i))` and `_ends(o, pre(o))` share a key: (a) `in(i)`
-    and `out(o)` share a class, or (b) i and o have the same (postset,
-    output membership), or (c) i and o have the same (preset, input
-    membership).
+    `_grow(i, o)`, capped or not, returns a hit only if (a) `in(i)` and
+    `out(o)` share a class, or (b) i and o have the same (postset, output
+    membership), or (c) i and o have the same (preset, input membership).
 
     Proof.  Assume neither (b) nor (c); it suffices that every class that
     survives to the end of the walk lies in `in(i)` and in `out(o)`.  The
@@ -400,68 +400,97 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None) -> Hit | 
     AND-kind class of m's type.  Dually for `outs` and `inner_post`, with
     o's postset and output membership.  That is D2.  QED.
 
-    The scan applies the lemmas in two steps.  The candidates of a focus
-    come from one index of every node's `_ends(n, pre(n))`, built once per
-    scan in O(N + E): the pairs whose keys meet, which is the first lemma.
-    Whether a candidate is reachable from the focus is one test against a
-    reachability closure, `nets.reach_masks`: one bit mask per node over
-    the strongly connected components, built once per scan at the first
-    focus whose pool is not empty.  The candidates sort by rank, so the bit
-    each component gets decides nothing, and the refined lemma
+    Corollary.  In an acyclic net no pair passes through (b) or (c)
+    alone, and no transition is a self-loop.  If i reaches o != i, the
+    path leaves i through a node n of `post(i)`; with (b), o has an arc to
+    n, so n -> ... -> o -> n is a cycle.  With (c), the path enters o
+    through a node m of `pre(o) = pre(i)`, and m -> i -> ... -> m is one.
+    A self-loop is a cycle of two arcs.
+
+    The scan applies the refined lemma in two steps.  The pool of a focus
+    is the union of the parts its side of the lemma allows, taken from
+    four indexes built in one O(N + E) pass per scan: the nodes by
+    (preset, input membership), for (c); by (postset, output membership),
+    for (b); the nodes whose preset is one-in, one-out, for (a) with that
+    class; and the nodes with one predecessor, by (postset, output
+    membership), for (a) with the AND-kind class, of which only the one
+    key that D2 names is read when it names one (`_focus_side`).  By the
+    corollary an acyclic net (`nets.is_acyclic`) gets no (b) or (c) index.
+    The pool holds every candidate `_lemma_allows` admits and perhaps
+    more.  Whether a candidate is reachable from the focus is one test
+    against a reachability closure, `nets.reach_masks`: one bit mask per
+    node over the strongly connected components, built once per scan at
+    the first focus whose pool is not empty.  The candidates sort by rank,
+    so the bit each component gets decides nothing, and the refined lemma
     (`_lemma_allows`) is tested on each only as `_expand` takes it: where
     a pool holds nearly every node, as in a state machine, testing the
     whole sorted list first costs more than the grows it saves.  The
     worklist (`_nearby`) tests the refined lemma the same way, on the
-    adjacency maps, and builds no key sets.
+    adjacency maps.
     """
     ordering = list(order) if order is not None else node_order(net)
     rank = {n: k for k, n in enumerate(ordering)}
     if len(rank) != len(ordering) or rank.keys() != net.nodes:
         raise ValueError("order must list every node of the net exactly once")
-    places = [n for n in ordering if net.is_place(n)]
-    for detect, foci in ((_loop, places), (_parallel, ordering)):
-        for focus in foci:
-            selection = detect(net, focus, rank)
-            if selection is not None:
-                return _hit(net, selection)
-    index: dict[object, set[NodeId]] = {}
+    if not expand_only:
+        places = [n for n in ordering if net.is_place(n)]
+        for detect, foci in ((_loop, places), (_parallel, ordering)):
+            for focus in foci:
+                selection = detect(net, focus, rank)
+                if selection is not None:
+                    return _hit(net, selection)
+    pred = net._pred
+    succ = net._succ
+    place_set = net.places
+    inputs = net.inputs
+    outputs = net.outputs
+    acyclic = is_acyclic(net)
+    by_pre: dict[_Key, list[NodeId]] = {}
+    by_post: dict[_Key, list[NodeId]] = {}
+    # By type, True for places: the nodes whose preset is one-in, one-out,
+    # and the nodes with one predecessor, with those again by (postset,
+    # output membership).
+    simple: dict[bool, list[NodeId]] = {True: [], False: []}
+    single: dict[bool, list[NodeId]] = {True: [], False: []}
+    single_by_post: dict[_Key, list[NodeId]] = {}
+    one_one = {n for n in net.nodes if len(pred[n]) == 1 and len(succ[n]) == 1}
     for n in net.nodes:
-        for end in _ends(net, n, net.preset(n)):
-            index.setdefault(end, set()).add(n)
+        pre_n = pred[n]
+        post_key = (succ[n], n in outputs)
+        if not acyclic:
+            by_pre.setdefault((pre_n, n in inputs), []).append(n)
+            by_post.setdefault(post_key, []).append(n)
+        if pre_n and pre_n <= one_one:
+            simple[n in place_set].append(n)
+        if len(pre_n) == 1:
+            single[n in place_set].append(n)
+            single_by_post.setdefault(post_key, []).append(n)
     reach: dict[NodeId, int] | None = None
     for focus in ordering:
-        pool = set().union(*(index.get(end, ()) for end in _ends(net, focus, net.postset(focus))))
+        side = _focus_side(net, focus)
+        post, is_output, pre, is_input, one_in_one_out, and_kind, need = side
+        same_type = focus in place_set
+        parts = []
+        if not acyclic:
+            parts += [by_pre.get((pre, is_input), ()), by_post.get((post, is_output), ())]
+        if one_in_one_out:
+            parts.append(simple[same_type])
+        if and_kind:
+            parts.append(single_by_post.get(next(iter(need)), ()) if need else single[same_type])
+        pool = set().union(*parts)
         pool.discard(focus)
         if not pool:
             continue
         if reach is None:
             bit, reach = reach_masks(net)
         mask = reach[focus]
-        same_type = net.is_place(focus)
         candidates = sorted(
-            (n for n in pool if mask & bit[n] and net.is_place(n) == same_type), key=rank.__getitem__
+            (n for n in pool if mask & bit[n] and (n in place_set) == same_type), key=rank.__getitem__
         )
-        side = _focus_side(net, focus)
         hit = _expand(net, focus, (o for o in candidates if _lemma_allows(net, side, o)), None)
         if hit is not None:
             return hit
     return None
-
-
-def _ends(net: Net, n: NodeId, near: frozenset[NodeId]) -> set[object]:
-    """n's keys for the lemma of `find_contractible`.
-
-    Its (postset, output membership), its (preset, input membership), and
-    the classes of `in(n)` when `near` is n's postset, of `out(n)` when it
-    is n's preset.
-    """
-    place = net.is_place(n)
-    ends: set[object] = {("post", net.postset(n), n in net.outputs), ("pre", net.preset(n), n in net.inputs)}
-    if len(near) == 1:
-        ends.add("pAND" if place else "tOR")
-    if _one_in_one_out(net, near):
-        ends.add("11pOR" if place else "11tAND")
-    return ends
 
 
 def _one_in_one_out(net: Net, near: frozenset[NodeId]) -> bool:
@@ -533,7 +562,7 @@ def _lemma_allows(net: Net, side: _Side, o: NodeId) -> bool:
 
     By direct comparison on the adjacency maps, for a focus of o's type
     whose side is `side`, cheapest test first; no key set is built.  It
-    admits a subset of the pairs whose `_ends` keys meet.
+    admits a subset of the pairs the first lemma admits.
     """
     post, is_output, pre, is_input, simple, and_kind, need = side
     pre_o = net._pred[o]
@@ -555,16 +584,16 @@ def _lemma_allows(net: Net, side: _Side, o: NodeId) -> bool:
     return keys is not None and keys <= {key}
 
 
-def _twins(net: Net, side: _Side, focus: NodeId, acyclic: bool) -> set[NodeId]:
+def _twins(net: Net, side: _Side, focus: NodeId) -> set[NodeId]:
     """The nodes other than focus that reach the lemma through (b) or (c) alone.
 
     Those with focus's (postset, output membership), read off the
     predecessors of one node of its postset, and those with its (preset,
     input membership), read off the successors of one node of its preset.
     An empty side is skipped: a focus with no successor reaches nothing,
-    and nothing reaches a node with no predecessor.  So are the preset
-    twins of an acyclic net, since reaching one means reaching a node of
-    focus's preset, which reaches focus.
+    and nothing reaches a node with no predecessor.  In an acyclic net
+    focus reaches none of them (the corollary in `find_contractible`), so
+    `_nearby` does not ask there.
     """
     post, is_output, pre, is_input = side[:4]
     pred = net._pred
@@ -573,7 +602,7 @@ def _twins(net: Net, side: _Side, focus: NodeId, acyclic: bool) -> set[NodeId]:
     if post:
         outputs = net.outputs
         twins.update(n for n in pred[next(iter(post))] if succ[n] == post and (n in outputs) == is_output)
-    if pre and not acyclic:
+    if pre:
         inputs = net.inputs
         twins.update(n for n in succ[next(iter(pre))] if pred[n] == pre and (n in inputs) == is_input)
     twins.discard(focus)
@@ -657,23 +686,28 @@ def _nearby(net: Net, focus: NodeId, rank: dict[NodeId, int], acyclic: bool = Fa
 
     Focus's side of the lemma is read once, and each candidate is tested
     against it by `_lemma_allows`, which compares the adjacency maps
-    directly instead of building `_ends` key sets.  When focus's side rules
-    out (a) for both classes, the lemma admits exactly focus's twins
-    (`_twins`), found without a walk: with none, there is no walk at all;
-    otherwise the walk yields the twins it keeps and stops once it has
-    passed them all.  `acyclic` says the net has no cycle, so that no
-    preset twin is reachable; the caller vouches for it, and False is
-    always safe.  The walk and the lemma tests run only as far as the
-    candidates are taken, so `_expand` stopping at its first hit stops
-    them too.  The generator reads `net` as it goes, so it must be used up
-    or dropped before the net changes; `_try_focus` drops it at
-    `_expand`'s return, before the hit is contracted.
+    directly and builds no key set.  When focus's side rules out (a) for
+    both classes, the lemma admits exactly focus's twins (`_twins`), found
+    without a walk: with none, there is no walk at all; otherwise the walk
+    yields the twins it keeps and stops once it has passed them all.
+    `acyclic` says the net has no cycle, and then such a focus yields
+    nothing at once: by the corollary in `find_contractible` it reaches none
+    of its twins.  The caller vouches for it, and False is always safe.  The
+    walk and the lemma tests run only as far as the candidates are taken, so
+    `_expand` stopping at its first hit stops them too.  The generator reads
+    `net` as it goes, so it must be used up or dropped before the net
+    changes; `_try_focus` drops it at `_expand`'s return, before the hit is
+    contracted.
     """
     side = _focus_side(net, focus)
     simple, and_kind = side[4:6]
-    twins = None if simple or and_kind else _twins(net, side, focus, acyclic)
-    if twins is not None and not twins:
-        return
+    twins = None
+    if not (simple or and_kind):
+        if acyclic:
+            return
+        twins = _twins(net, side, focus)
+        if not twins:
+            return
     successors = net._succ.__getitem__
     left = _CANDIDATE_CAP
     seen = {focus}
@@ -750,26 +784,56 @@ class _Reducer:
     test, and the expand walk over `_nearby`'s candidates, each capped at
     `_GROW_CAP` nodes.  The candidates are a lazy stream, dropped at the
     first hit before the net is contracted.  When the queue runs dry,
-    `find_contractible` is the completeness pass; if it still finds a
-    contraction, every node is queued again.  The candidate cap, the id
-    tie-break and `_grow`'s walk order fix which selection is contracted
-    next, and so the output bytes; the grow cap does too on wide fan-outs.
-    Every node the queue is given is a node of the current net: `_apply`
-    queues only the fresh node and its neighbours.
+    `find_contractible` is the completeness pass, with its expand phase
+    only; if it still finds a contraction, every node is queued again.
+    The candidate cap, the id tie-break and `_grow`'s walk order fix which
+    selection is contracted next, and so the output bytes; the grow cap
+    does too on wide fan-outs.  Every node the queue is given is a node of
+    the current net: `_apply` queues only the fresh node, its neighbours
+    and theirs.
 
-    Whether the input is acyclic is read once, and `_nearby` is told, since
-    no preset twin is reachable in an acyclic net.  That stays true for the
-    whole reduction: contraction keeps an acyclic net acyclic.  Proof.
-    Arcs that do not touch the selection S are the host's, so a cycle of
-    the contracted net passes the fresh node x; take one that passes it
-    once, x -> a -> ... -> b -> x with the middle outside S.  x inherits
-    every arc that crossed the boundary, so some output of the view has
-    the arc to a and some input the arc from b.  `_hit` accepts only
-    well-nested selections, whose inputs share one outside preset and
-    whose outputs share one outside postset, so b precedes every input and
-    a follows every output.  The view is a workflow net, so some input
-    reaches some output inside S, and the host has the cycle a -> ... ->
-    b -> that input -> ... -> that output -> a.  QED.
+    Invariant.  Every loop pair {p, t} and every pair of parallel twins
+    has a member in the queue.  So when the queue runs dry, neither
+    detector can hit anywhere, and the completeness pass may skip both.
+    Proof.  It holds at the start and after a scan hit, when every node is
+    queued.  A popped focus in such a pair returns a hit: `_loop` finds
+    every self-loop at a place and tests a transition itself (it is
+    skipped only on an acyclic net, which has no self-loop), `_parallel`
+    finds every twin of the focus, neither has a cap, and both run before
+    the expand walk.  So a popped focus is in no pair or is contracted,
+    and popping leaves no pair without a queued member.  Contracting S
+    into the fresh node x changes the wiring of the nodes next to S and of
+    no other node outside S; those are next to x afterwards, and no
+    interface membership outside S changes.  Whether t is a self-loop
+    reads only t's wiring and membership, and whether two nodes are twins
+    only theirs.  So a pair that does not hold x and whose members kept
+    their wiring was a pair before the step, with a queued member that
+    was not popped.  In any other pair a member is x or next to x: a
+    transition that has just become a self-loop changed its own wiring,
+    and twins share their wiring, so when one of them changed, both are
+    next to x.  `_apply` queues x and its neighbours.  QED.  The queued
+    neighbours of those neighbours are not needed here; they are for the
+    expand walk, and they decide bytes.  Well-nestedness would even make
+    x alone enough: every outside predecessor of S has an arc to each
+    input of the view and to no other member, and dually, so every node
+    next to S changes its wiring the same way, and no pair without x is
+    made or broken.
+
+    Whether the input is acyclic is read once.  If it is, `_try_focus`
+    skips the loop test and `_nearby` every focus that only twins could
+    match, since an acyclic net has no self-loop and no node reaches a twin
+    of its own (the corollary in `find_contractible`).  That stays true
+    for the whole reduction: contraction keeps an acyclic net acyclic.
+    Proof.  Arcs that do not touch the selection S are the host's, so a
+    cycle of the contracted net passes the fresh node x; take one that
+    passes it once, x -> a -> ... -> b -> x with the middle outside S.  x
+    inherits every arc that crossed the boundary, so some output of the view
+    has the arc to a and some input the arc from b.  `_hit` accepts only
+    well-nested selections, whose inputs share one outside preset and whose
+    outputs share one outside postset, so b precedes every input and a
+    follows every output.  The view is a workflow net, so some input reaches
+    some output inside S, and the host has the cycle a -> ... -> b -> that
+    input -> ... -> that output -> a.  QED.
     """
 
     def __init__(self, net: Net, seed: int | None):
@@ -786,7 +850,8 @@ class _Reducer:
         while True:
             hit = self._fast_search()
             if hit is None:
-                hit = find_contractible(self.graph, self._ordering())
+                # The module global, so that a wrapper around it sees every scan.
+                hit = find_contractible(self.graph, self._ordering(), expand_only=True)
                 if hit is None:
                     break
                 # Queued before the contraction: its members are skipped when
@@ -831,7 +896,7 @@ class _Reducer:
         graph = self.graph
         # Without a rank, loop ties are broken by id; ranking them instead
         # changes the bytes (`test_loop_tie_break_is_pinned`).
-        selection = _loop(graph, focus) or _parallel(graph, focus, self.rank)
+        selection = (None if self.acyclic else _loop(graph, focus)) or _parallel(graph, focus, self.rank)
         if selection is not None:
             return _hit(graph, selection)
         return _expand(graph, focus, _nearby(graph, focus, self.rank, self.acyclic), _GROW_CAP)

@@ -518,6 +518,23 @@ def deep_tree(levels: int, bottom: str = "n0"):
     return tree
 
 
+def ends(net: Net, n: str, near: frozenset) -> set:
+    """n's keys for the first lemma of `reduction.find_contractible`, coded from its statement.
+
+    The lemma admits a pair (i, o) exactly when `ends(net, i, post(i))` and
+    `ends(net, o, pre(o))` meet.  The keys are n's (postset, output
+    membership), its (preset, input membership), and the classes of `in(n)`
+    when `near` is n's postset, of `out(n)` when it is n's preset.
+    """
+    place = net.is_place(n)
+    keys = {("post", net.postset(n), n in net.outputs), ("pre", net.preset(n), n in net.inputs)}
+    if len(near) == 1:
+        keys.add("pAND" if place else "tOR")
+    if near and all(len(net.preset(m)) == 1 and len(net.postset(m)) == 1 for m in near):
+        keys.add("11pOR" if place else "11tAND")
+    return keys
+
+
 def reference_lemma(net: Net, i: str, o: str) -> bool:
     """The refined lemma of `reduction.find_contractible`, coded from its statement.
 

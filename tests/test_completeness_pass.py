@@ -4,10 +4,13 @@
 its docstring rules out.  `helpers.reference_scan` grows every pair; the
 two must return the same first hit, or both None, under every order.  The
 lemma itself is checked on every pair of a set of small nets: a pair that
-`_grow` contracts, capped or not, must have meeting `_ends` keys.  On
+`_grow` contracts, capped or not, must have meeting `helpers.ends` keys.  On
 seeded random workflow nets the pass is checked against the subset oracle
 of `helpers`, which shares no code with it: no normal form may have a
-contractible subset, and `is_andor` must agree with `oracle_andor`.
+contractible subset, and `is_andor` must agree with `oracle_andor`.  The
+reducer runs only the expand phase when its queue runs dry; at every such
+scan the loop and parallel tests must find nothing anywhere, so that the
+scan returns what the full pass and `helpers.reference_scan` return.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ import hashlib
 
 import pytest
 
-from conftest import NETS
+from conftest import NETS, load_fixture
 from helpers import (
     chains,
     contractible_subset,
+    ends,
     layered_dag,
     oracle_andor,
     perturb,
@@ -38,8 +42,9 @@ from wfnet import (
     serialize_forest,
     serialize_net,
 )
+from wfnet import reduction
 from wfnet.nets import descendants, reach_masks
-from wfnet.reduction import _GROW_CAP, _ends, _grow
+from wfnet.reduction import _GROW_CAP, _grow, _loop, _parallel
 
 
 def scanned_nets(net: Net) -> list[Net]:
@@ -77,6 +82,68 @@ def test_reach_masks_agree_with_descendants(name):
     bit, reach = reach_masks(net)
     for n in net.nodes:
         assert {m for m in net.nodes if reach[n] & bit[m]} == descendants(net, n), n
+
+
+@pytest.fixture
+def dry_scans(monkeypatch):
+    """The hits of the reducer's dry-queue scans, each checked as it runs.
+
+    Every scan the reducer makes must skip the loop and parallel phases.
+    On the net it scans, no node may have a loop or parallel hit, and the
+    expand-only hit must be the full pass's and the reference scan's.
+    """
+    hits = []
+
+    def scan(graph, order=None, **options):
+        assert options == {"expand_only": True}
+        hit = find_contractible(graph, order, **options)
+        net = graph.freeze()
+        rank = {n: k for k, n in enumerate(order)}
+        assert all(_loop(net, n, rank) is None and _parallel(net, n, rank) is None for n in order)
+        assert hit == find_contractible(net, order) == reference_scan(net, order)
+        hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(reduction, "find_contractible", scan)
+    return hits
+
+
+@pytest.mark.parametrize("stem", sorted(NETS))
+def test_dry_queue_scans_of_the_fixtures(dry_scans, stem):
+    for seed in (None, 1, 2):
+        reduce_net(load_fixture(stem), seed)
+    assert len(dry_scans) >= 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dry_queue_scans_of_random_nets(dry_scans, seed):
+    for net in random_wf_nets(40, seed):
+        reduce_net(net, seed)
+    assert len(dry_scans) >= 40
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dry_queue_scans_of_edited_members(dry_scans, seed):
+    net = generate_andor_net(GenerationRecipe(seed=seed, substitution_steps=12)).net
+    for edit in range(3):
+        net = perturb(net, seed=100 * seed + edit)
+        if net is None:
+            break
+        reduce_net(net, seed)
+    assert dry_scans
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dry_queue_scans_of_layered_dags(dry_scans, seed):
+    reduce_net(layered_dag(seed, layers=21), seed)
+    assert dry_scans
+
+
+def test_dry_queue_scan_that_hits(dry_scans, monkeypatch):
+    """At grow cap 10 the worklist leaves the state machine's 51-node hit to the scan."""
+    monkeypatch.setattr(reduction, "_GROW_CAP", 10)
+    reduce_net(state_machine(20, 1))
+    assert [None if hit is None else len(hit[0]) for hit in dry_scans] == [51, None]
 
 
 @pytest.mark.parametrize("seed", [4, 9])
@@ -140,6 +207,34 @@ def test_hit_only_through_a_shared_side(net, first):
     assert find_contractible(net, order) == expected
 
 
+# In AND_KIND_KEY the focus t52 has one successor, ctr_9, which is not
+# one-in, one-out, so (a) can admit t52's pairs only in the AND-kind class
+# `tOR`.  Around ctr_9 only t53 has other than one successor, so D2 names
+# t53's (postset, output membership), and t53, with the one predecessor
+# ctr_9, is the candidate that grows into the first hit.  t53 shares neither
+# t52's preset nor its postset: only the pool part for that class and that
+# key holds it.
+AND_KIND_KEY = Net.of(
+    places=["ctr_0", "ctr_1", "ctr_2", "ctr_3", "ctr_7", "ctr_9", "p2", "p26", "p48", "p58"],
+    transitions=["ctr_10", "ctr_11", "ctr_12", "ctr_13", "t50", "t51", "t52", "t53", "t55"],
+    arcs=[
+        ("ctr_1", "t51"), ("ctr_1", "t52"), ("ctr_10", "ctr_0"), ("ctr_11", "ctr_7"), ("ctr_12", "p26"),
+        ("ctr_13", "ctr_1"), ("ctr_2", "t55"), ("ctr_3", "ctr_11"), ("ctr_7", "ctr_12"), ("ctr_9", "t53"),
+        ("p2", "ctr_13"), ("p26", "ctr_10"), ("p48", "t50"), ("p58", "ctr_10"), ("t50", "ctr_9"),
+        ("t51", "p48"), ("t52", "ctr_9"), ("t53", "ctr_2"), ("t53", "ctr_3"), ("t55", "p58"),
+    ],
+    inputs=["ctr_3", "p2", "p58"],
+    outputs=["ctr_0"],
+)
+
+
+def test_hit_only_through_a_d2_key():
+    order = ["t52"] + sorted(AND_KIND_KEY.nodes - {"t52"})
+    expected = (frozenset({"t50", "t51", "t52", "t53", "p48", "ctr_9"}), frozenset({"tOR"}))
+    assert reference_scan(AND_KIND_KEY, order) == expected
+    assert find_contractible(AND_KIND_KEY, order) == expected
+
+
 # The worklist skips the candidates the lemma rules out only after cutting
 # its list to `_CANDIDATE_CAP`.  Filtering first would let the cap keep
 # candidates it drops today and change what is contracted next; on this
@@ -185,7 +280,7 @@ def growing_pairs(net: Net) -> list[tuple[str, str]]:
 def test_lemma_admits_every_pair_that_grows(name):
     net = LEMMA_NETS[name]
     for i, o in growing_pairs(net):
-        assert not _ends(net, i, net.postset(i)).isdisjoint(_ends(net, o, net.preset(o))), (i, o)
+        assert not ends(net, i, net.postset(i)).isdisjoint(ends(net, o, net.preset(o))), (i, o)
 
 
 def test_every_lemma_net_but_the_dag_has_a_pair_that_grows():

@@ -131,8 +131,8 @@ def test_loop_tie_break_is_pinned():
 def test_completeness_pass_hit_is_pinned(monkeypatch):
     scans = []
 
-    def scan(net, order=None):
-        hit = find_contractible(net, order)
+    def scan(net, order=None, **options):
+        hit = find_contractible(net, order, **options)
         scans.append(hit)
         return hit
 

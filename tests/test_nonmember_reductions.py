@@ -7,6 +7,8 @@ digests were recorded before that filter was refined, so they pin that
 it changes no output byte.  The width-3 layered DAGs are those of
 `test_completeness_pass.py`; the edited members are `perturb`ed generated
 members, three of them acyclic, which take the reducer's acyclic path.
+That path rests on a corollary: no net an acyclic reduction passes
+through has a self-loop or a node that reaches a twin of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 
 import pytest
 
-from helpers import layered_dag, perturb
+from helpers import layered_dag, perturb, reference_twins
 from wfnet import GenerationRecipe, Net, generate_andor_net, reduce_net, serialize_forest, serialize_net
 from wfnet.nets import is_acyclic
 
@@ -124,3 +126,39 @@ def test_contraction_keeps_an_acyclic_net_acyclic(name):
         reduce_net(net, seed, observer=lambda before, selection, fresh, after: steps.append(after))
     assert len(steps) >= 3
     assert all(is_acyclic(after) for after in steps)
+
+
+def chain(places: int) -> Net:
+    ps = [f"p{k}" for k in range(places)]
+    ts = [f"t{k}" for k in range(places - 1)]
+    arcs = [arc for k, t in enumerate(ts) for arc in ((ps[k], t), (t, ps[k + 1]))]
+    return Net.of(places=ps, transitions=ts, arcs=arcs, inputs=[ps[0]], outputs=[ps[-1]])
+
+
+def assert_no_loop_and_no_reachable_twin(net: Net) -> None:
+    assert all(net.preset(t).isdisjoint(net.postset(t)) for t in net.transitions)
+    # A node that shares neither its (preset, input membership) nor its
+    # (postset, output membership) with another node has no twin at all.
+    sides: dict[object, list[str]] = {}
+    for n in net.nodes:
+        sides.setdefault(("pre", net.preset(n), n in net.inputs), []).append(n)
+        sides.setdefault(("post", net.postset(n), n in net.outputs), []).append(n)
+    for nodes in sides.values():
+        if len(nodes) > 1:
+            assert all(not reference_twins(net, n) for n in nodes), nodes
+
+
+@pytest.mark.parametrize("name", ACYCLIC_NONMEMBERS + ["dag_3_41", "dag_5_41", "dag_6_21", "chain_500"])
+def test_acyclic_steps_have_no_loop_and_no_reachable_twin(name):
+    """The corollary behind the reducer's acyclic shortcut, at every step under three seeds."""
+    net = chain(500) if name == "chain_500" else nonmember(name)
+    steps = [0]
+
+    def check(before, selection, fresh, after):
+        assert_no_loop_and_no_reachable_twin(after)
+        steps[0] += 1
+
+    assert_no_loop_and_no_reachable_twin(net)
+    for seed in (None, 1, 2) if name != "chain_500" else (None,):
+        reduce_net(net, seed, observer=check)
+    assert steps[0] >= 3

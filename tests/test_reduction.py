@@ -15,6 +15,7 @@ from conftest import NETS, load_fixture
 from helpers import (
     chains,
     deep_tree,
+    ends,
     fan,
     layered_dag,
     perturb,
@@ -405,6 +406,19 @@ PRESET_TWIN_LOOP = Net.of(
     outputs=["z"],
 )
 
+# In POSTSET_TWIN_LOOP, f and o share the postset {b1, b2}, and f reaches o
+# through b1 -> y -> c -> o, on the cycle o -> b1 -> y -> c -> o.
+POSTSET_TWIN_LOOP = Net.of(
+    places=["i", "f", "o", "y", "z"],
+    transitions=["s", "b1", "b2", "c"],
+    arcs=[
+        ("i", "s"), ("s", "f"), ("f", "b1"), ("f", "b2"), ("o", "b1"), ("o", "b2"), ("b1", "y"), ("y", "c"),
+        ("c", "o"), ("b2", "z"),
+    ],
+    inputs=["i"],
+    outputs=["z"],
+)
+
 
 def _rank(net: Net, seed: int | None = None) -> dict[str, int]:
     return {n: k for k, n in enumerate(node_order(net, seed))}
@@ -465,24 +479,19 @@ class TestNearby:
     def test_twins_are_the_reachable_twins(self):
         """Where (a) admits nothing, the lemma's candidates are `_twins` that focus reaches."""
         nets = [step for stem in sorted(NETS) for step in _intermediate_nets(load_fixture(stem), None)]
-        nets += random_wf_nets(40, 1) + [layered_dag(0, layers=21), PRESET_TWIN_LOOP]
+        nets += random_wf_nets(40, 1) + [layered_dag(0, layers=21), PRESET_TWIN_LOOP, POSTSET_TWIN_LOOP]
         checked = 0
         for net in nets:
             for focus in sorted(net.nodes):
                 side = reduction._focus_side(net, focus)
-                reached = descendants(net, focus)
-                for acyclic in {False, is_acyclic(net)}:
-                    twins = reduction._twins(net, side, focus, acyclic)
-                    assert twins & reached == reference_twins(net, focus), (focus, acyclic)
-                    checked += bool(twins)
+                twins = reduction._twins(net, side, focus)
+                assert twins & descendants(net, focus) == reference_twins(net, focus), focus
+                checked += bool(twins)
         assert checked > 100
 
-    def test_the_reducer_streams_a_reachable_preset_twin_of_a_cyclic_net(self, monkeypatch):
-        # In PRESET_TWIN_LOOP, f and o share the preset {a}, and f reaches o
-        # through the cycle x -> a -> f -> b -> y -> d -> x.  f has two
-        # successors, b2 of which is not one-in, one-out, so (a) admits
-        # nothing at f, and o, its preset twin, is its one candidate: the
-        # acyclic shortcut, which drops preset twins, must not apply here.
+    @staticmethod
+    def reducer_streams(monkeypatch, net: Net) -> dict[str, list[str]]:
+        """The first candidate stream of each focus while `net` reduces, each checked against the reference."""
         nearby = reduction._nearby
         streams = {}
 
@@ -493,8 +502,24 @@ class TestNearby:
             yield from got
 
         monkeypatch.setattr(reduction, "_nearby", checked)
-        reduce_net(PRESET_TWIN_LOOP)
-        assert streams["f"] == ["o"]
+        reduce_net(net)
+        return streams
+
+    def test_the_reducer_streams_a_reachable_preset_twin_of_a_cyclic_net(self, monkeypatch):
+        # In PRESET_TWIN_LOOP, f and o share the preset {a}, and f reaches o
+        # through the cycle x -> a -> f -> b -> y -> d -> x.  f has two
+        # successors, b2 of which is not one-in, one-out, so (a) admits
+        # nothing at f, and o, its preset twin, is its one candidate: the
+        # acyclic shortcut, which drops such a focus, must not apply here.
+        assert self.reducer_streams(monkeypatch, PRESET_TWIN_LOOP)["f"] == ["o"]
+
+    def test_the_reducer_streams_a_reachable_postset_twin_of_a_cyclic_net(self, monkeypatch):
+        # When f is taken, b1, y and c have become one transition, so f and
+        # o share the postset {that transition, b2}, and f reaches o through
+        # it.  Neither successor of f is one-in, one-out and f has two, so
+        # (a) admits nothing at f, and o, its postset twin, is its one
+        # candidate: the acyclic shortcut must not apply here either.
+        assert self.reducer_streams(monkeypatch, POSTSET_TWIN_LOOP)["f"] == ["o"]
 
     def test_wide_fan_reaches_past_its_spokes(self):
         net = fan(500)
@@ -525,7 +550,7 @@ class TestLemmaAllows:
     """`_lemma_allows` on every reachable same-type pair, beyond `_CANDIDATE_CAP`.
 
     It must agree with `helpers.reference_lemma`, admit only pairs whose
-    `_ends` keys meet (the first lemma, which the scan's index applies), and
+    `helpers.ends` keys meet (the first lemma), and
     admit every pair that `_grow` contracts at cap None, `_GROW_CAP` or 4.
     """
 
@@ -536,13 +561,13 @@ class TestLemmaAllows:
         caps = (None, 4) if len(net) <= reduction._GROW_CAP else (None, reduction._GROW_CAP, 4)
         for focus in sorted(net.nodes):
             side = reduction._focus_side(net, focus)
-            mine = reduction._ends(net, focus, net.postset(focus))
+            mine = ends(net, focus, net.postset(focus))
             for o in sorted(descendants(net, focus) - {focus}):
                 if net.is_place(o) == net.is_place(focus):
                     allowed = reduction._lemma_allows(net, side, o)
                     assert allowed == reference_lemma(net, focus, o), (focus, o)
                     if allowed:
-                        assert mine & reduction._ends(net, o, net.preset(o)), (focus, o)
+                        assert mine & ends(net, o, net.preset(o)), (focus, o)
                     else:
                         for cap in caps:
                             assert reduction._grow(net, focus, o, cap) is None, (focus, o, cap)
