@@ -20,7 +20,7 @@ import dataclasses
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Literal
+from typing import AbstractSet, Callable, Iterable, Iterator, Literal
 
 NodeId = str
 Arc = tuple[NodeId, NodeId]
@@ -443,41 +443,11 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.node_clashes
-            or self.bad_ids
-            or self.dangling_arcs
-            or self.nonbipartite_arcs
-            or self.unknown_interface
-            or self.empty_interface
-            or self.mixed_interface
-            or self.unreachable_nodes
-            or self.dead_end_nodes
-        )
+        return not any(getattr(self, name) for name, _, _ in _REPORT_LINES if name != _WARNING)
 
     def lines(self) -> list[str]:
         """Human-readable report, one line per violation category."""
-        out: list[str] = []
-        if self.node_clashes:
-            out.append("both place and transition: " + ", ".join(self.node_clashes))
-        if self.bad_ids:
-            out.append("invalid node ids: " + ", ".join(repr(n) for n in self.bad_ids))
-        if self.dangling_arcs:
-            out.append("arcs with unknown endpoints: " + _arc_list(self.dangling_arcs))
-        if self.nonbipartite_arcs:
-            out.append("arcs between same-type nodes: " + _arc_list(self.nonbipartite_arcs))
-        if self.unknown_interface:
-            out.append("interface nodes not in net: " + ", ".join(self.unknown_interface))
-        if self.empty_interface:
-            out.append("empty interface sets: " + ", ".join(self.empty_interface))
-        if self.mixed_interface:
-            out.append("interface mixes places and transitions: " + ", ".join(self.mixed_interface))
-        if self.unreachable_nodes:
-            out.append("not reachable from any input: " + ", ".join(self.unreachable_nodes))
-        if self.dead_end_nodes:
-            out.append("cannot reach any output: " + ", ".join(self.dead_end_nodes))
-        if self.duplicate_arcs:
-            out.append("duplicate arcs collapsed: " + _arc_list(self.duplicate_arcs))
+        out = [f"{label}: {write(items)}" for name, label, write in _REPORT_LINES if (items := getattr(self, name))]
         if self.ok:
             out.insert(0, f"valid workflow net ({self.io_type} interface)")
         return out
@@ -485,6 +455,24 @@ class ValidationReport:
 
 def _arc_list(arcs: Iterable[Arc]) -> str:
     return ", ".join(f"{a}->{b}" for a, b in sorted(arcs))
+
+
+# Each `ValidationReport` field in report order, with the label of its line
+# and how its items are written.  `_WARNING` is the one field that leaves a
+# net valid.
+_REPORT_LINES: tuple[tuple[str, str, Callable[[tuple], str]], ...] = (
+    ("node_clashes", "both place and transition", ", ".join),
+    ("bad_ids", "invalid node ids", lambda ids: ", ".join(map(repr, ids))),
+    ("dangling_arcs", "arcs with unknown endpoints", _arc_list),
+    ("nonbipartite_arcs", "arcs between same-type nodes", _arc_list),
+    ("unknown_interface", "interface nodes not in net", ", ".join),
+    ("empty_interface", "empty interface sets", ", ".join),
+    ("mixed_interface", "interface mixes places and transitions", ", ".join),
+    ("unreachable_nodes", "not reachable from any input", ", ".join),
+    ("dead_end_nodes", "cannot reach any output", ", ".join),
+    ("duplicate_arcs", "duplicate arcs collapsed", _arc_list),
+)
+_WARNING = "duplicate_arcs"
 
 
 def validate(net: Net, duplicate_arcs: Iterable[Arc] = ()) -> ValidationReport:

@@ -18,9 +18,10 @@ over every node; it is the completeness pass, and reduction stops only
 when it finds nothing (the reducer runs only its expand phase, where the
 other two provably cannot hit).  Neither grows a pair of nodes that a necessary
 condition for a hit, proved in `find_contractible`, rules out; the
-completeness pass takes its pairs from an index of that condition and
-tests their reachability against one closure, each built once per scan,
-so proving a normal form irreducible costs no walk per focus.
+completeness pass takes its pairs from the focus's twins and two lists
+of that condition, and tests their reachability against one closure; the
+lists and the closure are built once per scan, so proving a normal form
+irreducible costs no walk per focus.
 Contracting whatever they find, over and over, terminates (every step
 removes at least one node) and is confluent up to isomorphism, so the
 normal form does not depend on the order policy.  Its node ids and
@@ -408,23 +409,24 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None, *, expand
     A self-loop is a cycle of two arcs.
 
     The scan applies the refined lemma in two steps.  The pool of a focus
-    is the union of the parts its side of the lemma allows, taken from
-    four indexes built in one O(N + E) pass per scan: the nodes by
-    (preset, input membership), for (c); by (postset, output membership),
-    for (b); the nodes whose preset is one-in, one-out, for (a) with that
-    class; and the nodes with one predecessor, by (postset, output
-    membership), for (a) with the AND-kind class, of which only the one
-    key that D2 names is read when it names one (`_focus_side`).  By the
-    corollary an acyclic net (`nets.is_acyclic`) gets no (b) or (c) index.
-    The pool holds every candidate `_lemma_allows` admits and perhaps
-    more.  Whether a candidate is reachable from the focus is one test
-    against a reachability closure, `nets.reach_masks`: one bit mask per
-    node over the strongly connected components, built once per scan at
-    the first focus whose pool is not empty.  The candidates sort by rank,
-    so the bit each component gets decides nothing, and the refined lemma
-    (`_lemma_allows`) is tested on each only as `_expand` takes it: where
-    a pool holds nearly every node, as in a state machine, testing the
-    whole sorted list first costs more than the grows it saves.  The
+    is the union of the parts its side of the lemma allows: the focus's
+    twins, for (b) and (c), read off the adjacency maps by `_twins` as the
+    worklist reads them; and two lists, by type, built in one O(N + E)
+    pass per scan.  One holds the nodes whose preset is one-in, one-out
+    (`_one_in_one_out`), for (a) with that class; the other the nodes with
+    one predecessor, for (a) with the AND-kind class, kept also by
+    (postset, output membership), so that only the one key D2 names is read
+    when it names one (`_focus_side`).  By the corollary an acyclic net
+    (`nets.is_acyclic`) skips the twins.  The pool holds every candidate
+    `_lemma_allows` admits and perhaps more.  Whether a candidate is
+    reachable from the focus is one test against a reachability closure,
+    `nets.reach_masks`: one bit mask per node over the strongly connected
+    components, built once per scan at the first focus whose pool is not
+    empty.  The candidates sort by rank, so the bit each component gets
+    decides nothing, and the refined lemma (`_lemma_allows`) is tested on
+    each only as `_expand` takes it: where a pool holds nearly every node,
+    as in a state machine, testing the whole sorted list first costs more
+    than the grows it saves.  The
     worklist (`_nearby`) tests the refined lemma the same way, on the
     adjacency maps.
     """
@@ -442,42 +444,31 @@ def find_contractible(net: Net, order: Sequence[NodeId] | None = None, *, expand
     pred = net._pred
     succ = net._succ
     place_set = net.places
-    inputs = net.inputs
     outputs = net.outputs
     acyclic = is_acyclic(net)
-    by_pre: dict[_Key, list[NodeId]] = {}
-    by_post: dict[_Key, list[NodeId]] = {}
     # By type, True for places: the nodes whose preset is one-in, one-out,
     # and the nodes with one predecessor, with those again by (postset,
     # output membership).
     simple: dict[bool, list[NodeId]] = {True: [], False: []}
     single: dict[bool, list[NodeId]] = {True: [], False: []}
     single_by_post: dict[_Key, list[NodeId]] = {}
-    one_one = {n for n in net.nodes if len(pred[n]) == 1 and len(succ[n]) == 1}
     for n in net.nodes:
         pre_n = pred[n]
-        post_key = (succ[n], n in outputs)
-        if not acyclic:
-            by_pre.setdefault((pre_n, n in inputs), []).append(n)
-            by_post.setdefault(post_key, []).append(n)
-        if pre_n and pre_n <= one_one:
+        if _one_in_one_out(net, pre_n):
             simple[n in place_set].append(n)
         if len(pre_n) == 1:
             single[n in place_set].append(n)
-            single_by_post.setdefault(post_key, []).append(n)
+            single_by_post.setdefault((succ[n], n in outputs), []).append(n)
     reach: dict[NodeId, int] | None = None
     for focus in ordering:
         side = _focus_side(net, focus)
-        post, is_output, pre, is_input, one_in_one_out, and_kind, need = side
+        one_in_one_out, and_kind, need = side[4:]
         same_type = focus in place_set
-        parts = []
-        if not acyclic:
-            parts += [by_pre.get((pre, is_input), ()), by_post.get((post, is_output), ())]
+        pool = set() if acyclic else _twins(net, side, focus)
         if one_in_one_out:
-            parts.append(simple[same_type])
+            pool.update(simple[same_type])
         if and_kind:
-            parts.append(single_by_post.get(next(iter(need)), ()) if need else single[same_type])
-        pool = set().union(*parts)
+            pool.update(single_by_post.get(next(iter(need)), ()) if need else single[same_type])
         pool.discard(focus)
         if not pool:
             continue
@@ -591,9 +582,11 @@ def _twins(net: Net, side: _Side, focus: NodeId) -> set[NodeId]:
     predecessors of one node of its postset, and those with its (preset,
     input membership), read off the successors of one node of its preset.
     An empty side is skipped: a focus with no successor reaches nothing,
-    and nothing reaches a node with no predecessor.  In an acyclic net
-    focus reaches none of them (the corollary in `find_contractible`), so
-    `_nearby` does not ask there.
+    and nothing reaches a node with no predecessor.  These are the (b)
+    and (c) part of both searches' candidates: `_nearby` reads them when
+    they are all the lemma admits, and `find_contractible` adds them to
+    the two lists of its pool.  In an acyclic net focus reaches none of
+    them (the corollary in `find_contractible`), so neither asks there.
     """
     post, is_output, pre, is_input = side[:4]
     pred = net._pred

@@ -172,8 +172,11 @@ def explore_reachable(
     overfull: set[Packed] = set()
     bound_hit: str | None = None
 
+    # Each state maps to its one stored tuple, which every edge into it
+    # shares: a state is held once, not once per edge.  A successor past
+    # `max_states` is not a state of the graph and is not stored.
     queue = deque([(start, initial.total())])
-    seen = {start}
+    seen = {start: start}
     while queue:
         m, total = queue.popleft()
         if total > max_tokens:
@@ -193,14 +196,16 @@ def explore_reachable(
                 for i in post:
                     counts[i] += 1
                 succ = tuple(counts)
-                outgoing.append((t, succ))
-                if succ not in seen:
-                    if len(seen) >= max_states:
-                        bound_hit = bound_hit or "max_states"
-                        continue
-                    seen.add(succ)
+                known = seen.get(succ)
+                if known is not None:
+                    succ = known
+                elif len(seen) >= max_states:
+                    bound_hit = bound_hit or "max_states"
+                else:
+                    seen[succ] = succ
                     parent[succ] = (m, t)
                     queue.append((succ, total + delta))
+                outgoing.append((t, succ))
         edges[m] = tuple(outgoing)
 
     return ReachabilityGraph(

@@ -52,7 +52,7 @@ def _members(host: Net, selection: Iterable[NodeId]) -> frozenset[NodeId]:
     members = frozenset(selection)
     if not members:
         raise ValueError("empty selection")
-    foreign = sorted(n for n in members if n not in host)
+    foreign = sorted(members - host.places - host.transitions)
     if foreign:
         raise KeyError(", ".join(foreign))
     return members

@@ -7,7 +7,9 @@ lemma itself is checked on every pair of a set of small nets: a pair that
 `_grow` contracts, capped or not, must have meeting `helpers.ends` keys.  On
 seeded random workflow nets the pass is checked against the subset oracle
 of `helpers`, which shares no code with it: no normal form may have a
-contractible subset, and `is_andor` must agree with `oracle_andor`.  The
+contractible subset, and `is_andor` must agree with `oracle_andor`; on
+edited small members, which contract in larger selections, no normal form
+may have a subset that either the oracle or `_hit` accepts.  The
 reducer runs only the expand phase when its queue runs dry; at every such
 scan the loop and parallel tests must find nothing anywhere, so that the
 scan returns what the full pass and `helpers.reference_scan` return.
@@ -16,6 +18,7 @@ scan returns what the full pass and `helpers.reference_scan` return.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -44,7 +47,7 @@ from wfnet import (
 )
 from wfnet import reduction
 from wfnet.nets import descendants, reach_masks
-from wfnet.reduction import _GROW_CAP, _grow, _loop, _parallel
+from wfnet.reduction import _GROW_CAP, _grow, _hit, _loop, _parallel
 
 
 def scanned_nets(net: Net) -> list[Net]:
@@ -302,3 +305,50 @@ def test_random_net_normal_forms_are_irreducible(seed):
             assert len(form) == 1 or contractible_subset(form) is None, net
         if forms != {net}:
             assert is_andor(net) == oracle_andor(net), net
+
+
+def edited_members(seed: int) -> list[Net]:
+    """One and two `perturb` edits of each of ten small generated members.
+
+    The members take six substitution steps (about 20 nodes).  Nearly every
+    edit still contracts some selection of three or more nodes, and most
+    stop at a normal form of several nodes.
+    """
+    nets = []
+    for member_seed in range(10 * seed, 10 * seed + 10):
+        net = generate_andor_net(GenerationRecipe(seed=member_seed, substitution_steps=6)).net
+        for edit in range(2):
+            net = perturb(net, seed=1000 + 10 * member_seed + edit)
+            if net is None:
+                break
+            nets.append(net)
+    return nets
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edited_member_normal_forms_are_irreducible(seed, monkeypatch):
+    """No node subset of a normal form is contractible, by the oracle or by `_hit`.
+
+    Each net is reduced at the real grow cap and at a grow cap of 3, where
+    the worklist grows no selection of more than three nodes and leaves
+    every larger one to the completeness pass.  A normal form of 2 to 14
+    nodes, the oracle's limit, must have no subset that
+    `helpers.contractible_subset` accepts, and no subset that `_hit`
+    accepts.  A scan without its expand phase fails the oracle at grow cap
+    3, a `_grow` that pulls in no predecessors fails it at either cap, and
+    a `_hit` without its well-nestedness check accepts a subset.
+    """
+    checked = 0
+    for net in edited_members(seed):
+        for cap in (_GROW_CAP, 3):
+            monkeypatch.setattr(reduction, "_GROW_CAP", cap)
+            form = reduce_net(net).net
+            if not 1 < len(form) <= 14:
+                continue
+            checked += 1
+            assert contractible_subset(form) is None, (net, cap)
+            nodes = sorted(form.nodes)
+            for size in range(2, len(nodes) + 1):
+                for subset in itertools.combinations(nodes, size):
+                    assert _hit(form, frozenset(subset)) is None, (net, cap, subset)
+    assert checked >= 25

@@ -212,6 +212,21 @@ def test_graph_matches_reference_bfs(net, k, max_states, max_tokens):
         assert replay(checked, initial, graph.path_to(target)) == target
 
 
+@pytest.mark.parametrize("net", differential_cases())
+@pytest.mark.parametrize("k, max_states", [(2, 400), (2, 25)])
+def test_each_state_is_stored_once(net, k, max_states):
+    """Every edge into a state holds the state's own key tuple, not a copy.
+
+    A successor past `max_states` is no state of the graph and is skipped.
+    """
+    checked = place_completion(net) if net.io_type == "transition" else net
+    graph = explore_reachable(checked, input_marking(checked, k), max_states)
+    stored = {m: m for m in graph._edges}
+    for outs in graph._edges.values():
+        for _, succ in outs:
+            assert succ not in stored or succ is stored[succ]
+
+
 class TestForeignPlaces:
     """A marking with tokens on a node that is no place of the net is refused."""
 
